@@ -17,8 +17,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "linalg/kernels.hpp"
-
 namespace mg::examples {
 
 /// Splits "HOST:PORT" (host may be empty to keep the loopback default).
@@ -39,11 +37,6 @@ struct SolverCli {
   int root = 2;
   int level = 3;
   double le_tol = 1e-3;
-
-  // Within-grid parallelism (DESIGN.md §14).  Both knobs are pure
-  // performance: results are bit-identical for any combination.
-  linalg::KernelPolicy kernel_policy = linalg::KernelPolicy::Scalar;
-  std::uint32_t inner_threads = 1;
 
   std::string report_path;
   std::string trace_path;  ///< Chrome trace_event JSON of the run's spans
@@ -100,8 +93,6 @@ inline SolverCli parse_solver_cli(int argc, const char* const* argv) {
   bool workers_given = false;
   bool listen_given = false;
   bool backend_given = false;
-  bool kernels_given = false;
-  bool inner_given = false;
   bool pipeline_given = false;
 
   const auto fail = [&cli](const std::string& message) -> SolverCli& {
@@ -124,18 +115,6 @@ inline SolverCli parse_solver_cli(int argc, const char* const* argv) {
       cli.net_fault_spec = v;
     } else if (starts_with(arg, "--churn=", 8, v)) {
       cli.churn_spec = v;
-    } else if (starts_with(arg, "--kernels=", 10, v)) {
-      kernels_given = true;
-      if (!linalg::parse_kernel_policy(v, cli.kernel_policy)) {
-        return fail(std::string("bad --kernels '") + v + "' (want scalar or tiled)");
-      }
-    } else if (starts_with(arg, "--inner-threads=", 16, v)) {
-      inner_given = true;
-      long n = 0;
-      if (!parse_long(v, n) || n < 1 || n > 1024) {
-        return fail(std::string("bad --inner-threads '") + v + "' (want 1..1024)");
-      }
-      cli.inner_threads = static_cast<std::uint32_t>(n);
     } else if (starts_with(arg, "--backend=", 10, v)) {
       cli.backend = v;
       backend_given = true;
@@ -212,11 +191,6 @@ inline SolverCli parse_solver_cli(int argc, const char* const* argv) {
       // Worker spans reach the master's trace through the telemetry channel;
       // a worker-local trace file would duplicate them on the wrong timeline.
       return fail("--connect is worker mode; --trace is master-side");
-    }
-    if (kernels_given || inner_given) {
-      // Kernel config travels with each work unit over the wire; a
-      // worker-local override would be silently dead.
-      return fail("--connect is worker mode; --kernels/--inner-threads are master-side");
     }
     if (pipeline_given) {
       // The pipeline window lives on the master's endpoint; workers just

@@ -78,35 +78,14 @@ void BandedMatrix::multiply(const Vec& x, Vec& y) const {
   }
 }
 
-void BandedMatrix::factorize() { factorize(KernelContext{}); }
-
-void BandedMatrix::factorize(const KernelContext& ctx) {
+void BandedMatrix::factorize() {
   MG_REQUIRE(!factorized_);
-  if (!ctx.tiled()) {
-    for (std::size_t k = 0; k < n_; ++k) {
-      const double pivot = data_[idx(k, k)];
-      if (std::abs(pivot) < 1e-300) {
-        throw std::runtime_error("BandedMatrix::factorize: zero pivot at row " + std::to_string(k));
-      }
-      const std::size_t i_hi = std::min(n_ - 1, k + hb_);
-      for (std::size_t i = k + 1; i <= i_hi; ++i) {
-        const double l = data_[idx(i, k)] / pivot;
-        data_[idx(i, k)] = l;
-        const std::size_t j_hi = std::min(n_ - 1, k + hb_);
-        for (std::size_t j = k + 1; j <= j_hi; ++j) {
-          data_[idx(i, j)] -= l * data_[idx(k, j)];
-        }
-      }
-    }
-    factorized_ = true;
-    return;
-  }
-  // Tiled: k-panel cache-blocked elimination.  The unblocked loop re-streams
+  // k-panel cache-blocked elimination.  The unblocked loop re-streams
   // the whole ~hb x hb trailing window from memory once per pivot step, which
   // leaves the kernel bandwidth-bound.  Here pivot steps are grouped into
   // panels of kPanel; each target row is brought into cache once per panel
   // and receives all of the panel's updates while hot.  Bitwise identity with
-  // the scalar path holds because every element d(i,j) still receives its
+  // the unblocked loop holds because every element d(i,j) still receives its
   // updates  d(i,j) -= l(i,k) * u(k,j)  for k strictly ascending (the k loop
   // is innermost-serial per row), each as a separate multiply and subtract —
   // only the (i,k) iteration order changes, never any element's own
@@ -119,7 +98,7 @@ void BandedMatrix::factorize(const KernelContext& ctx) {
     // Panel phase: finalize rows k0..k1-1 against the in-panel pivots below
     // them (their updates from earlier panels were applied by those panels'
     // trailing phases).  Pivot checks run in the same ascending-k order as
-    // the scalar loop and see identical values.
+    // the unblocked loop and see identical values.
     for (std::size_t i = k0; i < k1; ++i) {
       const std::size_t klo = (i > hb_) ? std::max(k0, i - hb_) : k0;
       for (std::size_t k = klo; k < i; ++k) {

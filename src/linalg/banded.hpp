@@ -41,16 +41,14 @@ class BandedMatrix {
   void multiply(const Vec& x, Vec& y) const;
 
   /// In-place LU (Doolittle, no pivoting).  Throws on a (near-)zero pivot.
+  ///
+  /// Pivot steps are blocked into k-panels and the trailing update runs
+  /// through the SIMD mul-sub kernels, four target rows against each pivot
+  /// row.  Every entry (i, j) still receives its updates
+  /// d(i,j) -= l(i,k) * u(k,j) one at a time in ascending k, so the factors
+  /// are bitwise identical to the unblocked seed elimination.  The
+  /// substitution sweeps in solve() are chain-serial by row and stay scalar.
   void factorize();
-
-  /// Policy-aware factorisation.  Scalar is the seed loop; Tiled runs the
-  /// trailing update through the SIMD mul-sub kernels with four target rows
-  /// blocked against each pivot row.  The update of entry (i, j) at
-  /// elimination step k is the same single multiply-subtract in either
-  /// policy (steps stay outermost, elements are disjoint within a step), so
-  /// the factors are bitwise identical.  The substitution sweeps in solve()
-  /// are chain-serial by row and stay scalar under every policy.
-  void factorize(const KernelContext& ctx);
 
   /// Solves A x = b using the factors; requires factorize() first.
   void solve(const Vec& b, Vec& x) const;

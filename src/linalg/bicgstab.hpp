@@ -36,13 +36,11 @@ struct KrylovWorkspace {
 /// to (an approximation of) A.  Pass a KrylovWorkspace to reuse scratch
 /// storage across calls; with ws == nullptr a local workspace is allocated.
 ///
-/// The kernel context routes the element-wise work (SpMV, triad updates,
-/// preconditioner applies) through the policy/team selected by the caller;
-/// every inner product and norm keeps the scalar left-to-right chain on the
-/// calling thread, so the iterate sequence — and the solution — is bitwise
-/// identical across policies and team sizes.
+/// The element-wise work (SpMV, triad updates, preconditioner applies) runs
+/// through the SIMD kernels; every inner product and norm keeps the seed's
+/// left-to-right chain, so the iterate sequence — and the solution — is
+/// bitwise identical to the seed's scalar loops.
 SolveReport bicgstab(const CsrMatrix& a, const Vec& b, Vec& x, const Preconditioner& m,
-                     const SolveOptions& opts = {}, KrylovWorkspace* ws = nullptr,
-                     const KernelContext& kctx = {});
+                     const SolveOptions& opts = {}, KrylovWorkspace* ws = nullptr);
 
 }  // namespace mg::linalg

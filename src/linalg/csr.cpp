@@ -2,44 +2,29 @@
 
 #include <algorithm>
 
-#include "linalg/parallel.hpp"
 #include "support/check.hpp"
 
 namespace mg::linalg {
 
 namespace {
 
-// Row-range SpMV kernels shared by multiply / multiply_sub.  Subtract=false
-// computes y = A x, Subtract=true computes y = b - A x.  Per row the
-// accumulation walks the CSR entries left-to-right — exactly the seed loop —
-// in both variants, so tiled and scalar agree bitwise.
-
+// SpMV kernel shared by multiply / multiply_sub.  Subtract=false computes
+// y = A x, Subtract=true computes y = b - A x.  Four rows are in flight at
+// once: four independent accumulator chains hide the load-multiply-add
+// latency of the gathered x accesses.  Each chain still consumes its own
+// row's entries left-to-right in CSR order — exactly the seed loop — so the
+// result is bitwise identical to processing one row at a time.
 template <bool Subtract>
-void spmv_range_scalar(const std::size_t* __restrict rp, const std::size_t* __restrict ci,
-                       const double* __restrict va, const double* __restrict xp,
-                       const double* __restrict bp, double* __restrict yp, std::size_t ib,
-                       std::size_t ie) {
-  for (std::size_t i = ib; i < ie; ++i) {
-    double s = Subtract ? bp[i] : 0.0;
-    if constexpr (Subtract) {
-      for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) s -= va[k] * xp[ci[k]];
-    } else {
-      for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) s += va[k] * xp[ci[k]];
-    }
-    yp[i] = s;
-  }
-}
-
-// Four rows in flight: four independent accumulator chains hide the
-// load-multiply-add latency of the gathered x accesses.  Each chain still
-// consumes its own row's entries in CSR order.
-template <bool Subtract>
-void spmv_range_tiled(const std::size_t* __restrict rp, const std::size_t* __restrict ci,
-                      const double* __restrict va, const double* __restrict xp,
-                      const double* __restrict bp, double* __restrict yp, std::size_t ib,
-                      std::size_t ie) {
-  std::size_t i = ib;
-  for (; i + 4 <= ie; i += 4) {
+void spmv(const CsrMatrix& a, const double* __restrict bp, const Vec& x, Vec& y) {
+  y.resize(a.rows());
+  const std::size_t rows = a.rows();
+  const std::size_t* __restrict rp = a.row_ptr().data();
+  const std::size_t* __restrict ci = a.col_idx().data();
+  const double* __restrict va = a.values().data();
+  const double* __restrict xp = x.data();
+  double* __restrict yp = y.data();
+  std::size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
     std::size_t k0 = rp[i], k1 = rp[i + 1], k2 = rp[i + 2], k3 = rp[i + 3];
     const std::size_t e0 = rp[i + 1], e1 = rp[i + 2], e2 = rp[i + 3], e3 = rp[i + 4];
     double s0 = Subtract ? bp[i] : 0.0;
@@ -81,29 +66,14 @@ void spmv_range_tiled(const std::size_t* __restrict rp, const std::size_t* __res
     yp[i + 2] = s2;
     yp[i + 3] = s3;
   }
-  spmv_range_scalar<Subtract>(rp, ci, va, xp, bp, yp, i, ie);
-}
-
-template <bool Subtract>
-void spmv_dispatch(const CsrMatrix& a, const double* bp, const Vec& x, Vec& y,
-                   const KernelContext& ctx) {
-  y.resize(a.rows());
-  const std::size_t* __restrict rp = a.row_ptr().data();
-  const std::size_t* __restrict ci = a.col_idx().data();
-  const double* __restrict va = a.values().data();
-  const double* __restrict xp = x.data();
-  double* __restrict yp = y.data();
-  auto body = [&](std::size_t b, std::size_t e) {
-    if (ctx.tiled()) {
-      spmv_range_tiled<Subtract>(rp, ci, va, xp, bp, yp, b, e);
+  for (; i < rows; ++i) {
+    double s = Subtract ? bp[i] : 0.0;
+    if constexpr (Subtract) {
+      for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) s -= va[k] * xp[ci[k]];
     } else {
-      spmv_range_scalar<Subtract>(rp, ci, va, xp, bp, yp, b, e);
+      for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) s += va[k] * xp[ci[k]];
     }
-  };
-  if (ctx.team) {
-    ctx.team->parallel_for(a.rows(), body);
-  } else {
-    body(0, a.rows());
+    yp[i] = s;
   }
 }
 
@@ -127,22 +97,7 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols, std::vector<std::size_t
 
 void CsrMatrix::multiply(const Vec& x, Vec& y) const {
   MG_REQUIRE(x.size() == cols_);
-  y.resize(rows_);
-  const std::size_t* __restrict rp = row_ptr_.data();
-  const std::size_t* __restrict ci = col_idx_.data();
-  const double* __restrict va = values_.data();
-  const double* __restrict xp = x.data();
-  double* __restrict yp = y.data();
-  for (std::size_t i = 0; i < rows_; ++i) {
-    double s = 0.0;
-    for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) s += va[k] * xp[ci[k]];
-    yp[i] = s;
-  }
-}
-
-void CsrMatrix::multiply(const Vec& x, Vec& y, const KernelContext& ctx) const {
-  MG_REQUIRE(x.size() == cols_);
-  spmv_dispatch<false>(*this, nullptr, x, y, ctx);
+  spmv<false>(*this, nullptr, x, y);
 }
 
 void CsrMatrix::residual(const Vec& b, const Vec& x, Vec& y) const {
@@ -265,25 +220,7 @@ CsrMatrix shifted_identity(const CsrMatrix& a, double scale_diag, double scale_a
 
 void multiply_sub(const CsrMatrix& a, const Vec& b, const Vec& x, Vec& y) {
   MG_REQUIRE(b.size() == a.rows() && x.size() == a.cols());
-  y.resize(a.rows());
-  const std::size_t rows = a.rows();
-  const std::size_t* __restrict rp = a.row_ptr().data();
-  const std::size_t* __restrict ci = a.col_idx().data();
-  const double* __restrict va = a.values().data();
-  const double* __restrict bp = b.data();
-  const double* __restrict xp = x.data();
-  double* __restrict yp = y.data();
-  for (std::size_t i = 0; i < rows; ++i) {
-    double s = bp[i];
-    for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) s -= va[k] * xp[ci[k]];
-    yp[i] = s;
-  }
-}
-
-void multiply_sub(const CsrMatrix& a, const Vec& b, const Vec& x, Vec& y,
-                  const KernelContext& ctx) {
-  MG_REQUIRE(b.size() == a.rows() && x.size() == a.cols());
-  spmv_dispatch<true>(a, b.data(), x, y, ctx);
+  spmv<true>(a, b.data(), x, y);
 }
 
 }  // namespace mg::linalg

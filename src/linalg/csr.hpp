@@ -33,13 +33,10 @@ class CsrMatrix {
   std::vector<double>& values() { return values_; }
 
   /// y = A * x.  `y` is resized and every entry overwritten (no zero-fill
-  /// pass); it must not alias `x`.
+  /// pass); it must not alias `x`.  Four rows stay in flight at once; each
+  /// row's accumulation chain still walks its CSR entries in order, so the
+  /// result is bitwise identical to the one-row-at-a-time seed loop.
   void multiply(const Vec& x, Vec& y) const;
-
-  /// Policy-aware SpMV.  Scalar runs the seed row loop; Tiled keeps four
-  /// independent rows in flight (each row's accumulation chain stays in CSR
-  /// order, so results are bitwise identical); a team partitions the rows.
-  void multiply(const Vec& x, Vec& y, const KernelContext& ctx) const;
 
   /// y = b - A * x.
   void residual(const Vec& b, const Vec& x, Vec& y) const;
@@ -102,12 +99,8 @@ CsrMatrix shifted_identity(const CsrMatrix& a, double scale_diag, double scale_a
 
 /// y = b - A * x, folded into one SpMV sweep.  `y` is resized; it must not
 /// alias `b` or `x`.  CsrMatrix::residual delegates here; BiCGSTAB calls it
-/// directly for its true-residual checks.
+/// directly for its true-residual checks.  Same four-row interleave (and the
+/// same bit-identity argument) as CsrMatrix::multiply.
 void multiply_sub(const CsrMatrix& a, const Vec& b, const Vec& x, Vec& y);
-
-/// Policy-aware multiply_sub; same row-partition/interleave scheme (and the
-/// same bit-identity argument) as CsrMatrix::multiply with a context.
-void multiply_sub(const CsrMatrix& a, const Vec& b, const Vec& x, Vec& y,
-                  const KernelContext& ctx);
 
 }  // namespace mg::linalg

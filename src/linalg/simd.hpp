@@ -6,8 +6,8 @@
 // would change the result by one rounding).  Vectorising such loops permutes
 // *which lanes compute in the same instruction*, not the per-element
 // arithmetic, so these kernels are bitwise identical to their scalar
-// counterparts on any ISA.  That property is what lets KernelPolicy::Tiled
-// promise bit-equality with Scalar (see kernels.hpp and DESIGN.md §14).
+// counterparts on any ISA.  That property is what lets the linalg kernels
+// promise bit-equality with the seed's scalar loops (DESIGN.md §14).
 //
 // Dispatch: on x86-64 the implementation compiles AVX2 and AVX-512F variants
 // via GCC/clang target attributes and selects once at first use with

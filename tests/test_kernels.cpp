@@ -1,34 +1,29 @@
-// Determinism proofs for the within-grid parallel execution layer
-// (DESIGN.md §14): the Tiled kernel policy and inner worker teams must be
-// bitwise identical to the seed Scalar path — across solver kinds, odd
-// (n % 4 != 0) tail sizes, and every team size — plus the wire codec for
-// the new SystemOptions fields and a TSAN hammer on the chunk barrier.
+// Determinism proofs for the linalg kernels (DESIGN.md §14): every
+// production kernel — four-row interleaved SpMV, SIMD axpy and BiCGSTAB
+// triads, SIMD Jacobi apply, the ILU(0) sweeps and the k-panel-blocked banded
+// LU — must be bitwise identical to the seed's scalar loops, kept as a
+// test-only oracle in kernel_reference.hpp.  Sizes cover odd (n % 4 != 0)
+// tails and banded systems below, above and not a multiple of the 64-step
+// factorisation panel.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <thread>
 #include <vector>
 
-#include "../examples/solver_cli.hpp"
-#include "core/marshal.hpp"
+#include "kernel_reference.hpp"
 #include "linalg/banded.hpp"
-#include "linalg/bicgstab.hpp"
 #include "linalg/csr.hpp"
-#include "linalg/kernels.hpp"
-#include "linalg/parallel.hpp"
 #include "linalg/precond.hpp"
 #include "linalg/vector_ops.hpp"
-#include "support/bytes.hpp"
 #include "support/rng.hpp"
-#include "svc/job.hpp"
-#include "transport/subsolve.hpp"
 
 namespace {
 
 using namespace mg::linalg;
 using mg::support::Xoshiro256;
+namespace ref = kernel_reference;
 
 // Bitwise equality — EXPECT_EQ on doubles is exact, but spell the intent out
 // and catch -0.0 vs 0.0 too.
@@ -59,27 +54,6 @@ Vec random_vec(std::size_t n, Xoshiro256& rng) {
   return v;
 }
 
-ParallelContext::Options test_team_options() {
-  ParallelOptions opts;
-  opts.min_items_per_worker = 1;  // force real cross-thread dispatch
-  opts.oversubscribe = true;      // even on a 1-core CI box
-  return opts;
-}
-
-// ---- policy parsing ---------------------------------------------------------
-
-TEST(KernelPolicy, ParseAndPrint) {
-  KernelPolicy p = KernelPolicy::Tiled;
-  EXPECT_TRUE(parse_kernel_policy("scalar", p));
-  EXPECT_EQ(p, KernelPolicy::Scalar);
-  EXPECT_TRUE(parse_kernel_policy("tiled", p));
-  EXPECT_EQ(p, KernelPolicy::Tiled);
-  EXPECT_FALSE(parse_kernel_policy("simd", p));
-  EXPECT_FALSE(parse_kernel_policy("", p));
-  EXPECT_STREQ(to_string(KernelPolicy::Scalar), "scalar");
-  EXPECT_STREQ(to_string(KernelPolicy::Tiled), "tiled");
-}
-
 // ---- SpMV / multiply_sub ----------------------------------------------------
 
 TEST(TiledKernels, SpmvBitwiseMatchesScalarIncludingOddTails) {
@@ -90,49 +64,43 @@ TEST(TiledKernels, SpmvBitwiseMatchesScalarIncludingOddTails) {
     const Vec x = random_vec(n, rng);
     const Vec b = random_vec(n, rng);
 
-    Vec y_scalar, y_tiled, s_scalar, s_tiled;
-    a.multiply(x, y_scalar);
-    a.multiply(x, y_tiled, KernelContext{KernelPolicy::Tiled, nullptr});
-    multiply_sub(a, b, x, s_scalar);
-    multiply_sub(a, b, x, s_tiled, KernelContext{KernelPolicy::Tiled, nullptr});
+    Vec y_ref, y, s_ref, s;
+    ref::spmv(a, x, y_ref);
+    a.multiply(x, y);
+    ref::multiply_sub(a, b, x, s_ref);
+    multiply_sub(a, b, x, s);
 
-    EXPECT_TRUE(bit_equal(y_scalar, y_tiled)) << "spmv n=" << n;
-    EXPECT_TRUE(bit_equal(s_scalar, s_tiled)) << "multiply_sub n=" << n;
-
-    // Row-partitioned across a real team: same bits at any team size.
-    ParallelContext team(4, test_team_options());
-    Vec y_team, s_team;
-    a.multiply(x, y_team, KernelContext{KernelPolicy::Tiled, &team});
-    multiply_sub(a, b, x, s_team, KernelContext{KernelPolicy::Tiled, &team});
-    EXPECT_TRUE(bit_equal(y_scalar, y_team)) << "teamed spmv n=" << n;
-    EXPECT_TRUE(bit_equal(s_scalar, s_team)) << "teamed multiply_sub n=" << n;
+    EXPECT_TRUE(bit_equal(y_ref, y)) << "spmv n=" << n;
+    EXPECT_TRUE(bit_equal(s_ref, s)) << "multiply_sub n=" << n;
   }
 }
 
-// ---- fused triads -----------------------------------------------------------
+// ---- axpy and the fused BiCGSTAB triads -------------------------------------
 
 TEST(TiledKernels, FusedTriadsBitwiseMatchScalar) {
   Xoshiro256 rng(23);
-  for (const std::size_t n : {3u, 4u, 7u, 64u, 1001u}) {
+  for (const std::size_t n : {1u, 3u, 4u, 7u, 9u, 64u, 1001u}) {
     const Vec r = random_vec(n, rng), v = random_vec(n, rng);
     const Vec a = random_vec(n, rng), b = random_vec(n, rng);
     const double alpha = 0.37, beta = 1.21, omega = -0.83;
 
-    Vec p_s = random_vec(n, rng);
-    Vec p_t = p_s, p_team = p_s;
-    fused_p_update(beta, omega, r, v, p_s, KernelContext{});
-    fused_p_update(beta, omega, r, v, p_t, KernelContext{KernelPolicy::Tiled, nullptr});
-    EXPECT_TRUE(bit_equal(p_s, p_t)) << "p-update n=" << n;
+    Vec p_ref = random_vec(n, rng);
+    Vec p = p_ref;
+    ref::p_update(beta, omega, r, v, p_ref);
+    fused_p_update(beta, omega, r, v, p);
+    EXPECT_TRUE(bit_equal(p_ref, p)) << "p-update n=" << n;
 
-    Vec x_s = random_vec(n, rng);
-    Vec x_t = x_s;
-    fused_x_update(alpha, omega, a, b, x_s, KernelContext{});
-    fused_x_update(alpha, omega, a, b, x_t, KernelContext{KernelPolicy::Tiled, nullptr});
-    EXPECT_TRUE(bit_equal(x_s, x_t)) << "x-update n=" << n;
+    Vec x_ref = random_vec(n, rng);
+    Vec x = x_ref;
+    ref::x_update(alpha, omega, a, b, x_ref);
+    fused_x_update(alpha, omega, a, b, x);
+    EXPECT_TRUE(bit_equal(x_ref, x)) << "x-update n=" << n;
 
-    ParallelContext team(3, test_team_options());
-    fused_p_update(beta, omega, r, v, p_team, KernelContext{KernelPolicy::Tiled, &team});
-    EXPECT_TRUE(bit_equal(p_s, p_team)) << "teamed p-update n=" << n;
+    Vec y_ref = random_vec(n, rng);
+    Vec y = y_ref;
+    ref::axpy(alpha, a, y_ref);
+    axpy(alpha, a, y);
+    EXPECT_TRUE(bit_equal(y_ref, y)) << "axpy n=" << n;
   }
 }
 
@@ -140,25 +108,30 @@ TEST(TiledKernels, FusedTriadsBitwiseMatchScalar) {
 
 TEST(TiledKernels, BandedFactorizeBitwiseMatchesScalar) {
   Xoshiro256 rng(31);
-  for (const std::size_t n : {3u, 9u, 17u, 40u, 101u}) {
-    for (const std::size_t hb : {1u, 3u, 7u}) {
+  // The blocked factorisation groups pivot steps into panels of 64: cover n
+  // below one panel, exactly one and two panels, and ragged multi-panel
+  // sizes, with half-bandwidths on both sides of the panel width.
+  for (const std::size_t n : {3u, 9u, 17u, 40u, 63u, 64u, 101u, 128u, 131u, 200u}) {
+    for (const std::size_t hb : {1u, 3u, 7u, 30u, 70u}) {
       if (hb >= n) continue;
-      BandedMatrix scalar_m(n, hb);
-      BandedMatrix tiled_m(n, hb);
+      BandedMatrix ref_m(n, hb);
+      BandedMatrix m(n, hb);
       for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = (i > hb ? i - hb : 0); j < std::min(n, i + hb + 1); ++j) {
-          const double v = i == j ? 4.0 + rng.uniform01() : rng.uniform(-1.0, 1.0);
-          scalar_m.set(i, j, v);
-          tiled_m.set(i, j, v);
+          // Diagonal dominance keeps the unpivoted elimination stable.
+          const double v = i == j ? 4.0 + 2.0 * static_cast<double>(hb) + rng.uniform01()
+                                  : rng.uniform(-1.0, 1.0);
+          ref_m.set(i, j, v);
+          m.set(i, j, v);
         }
       }
-      scalar_m.factorize();
-      tiled_m.factorize(KernelContext{KernelPolicy::Tiled, nullptr});
+      ref::banded_factorize(ref_m);
+      m.factorize();
       for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = (i > hb ? i - hb : 0); j < std::min(n, i + hb + 1); ++j) {
-          const double a = scalar_m.at(i, j);
-          const double b = tiled_m.at(i, j);
-          EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+          const double a = ref_m.at(i, j);
+          const double b = m.at(i, j);
+          ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0)
               << "n=" << n << " hb=" << hb << " (" << i << "," << j << ")";
         }
       }
@@ -173,203 +146,16 @@ TEST(TiledKernels, PreconditionerApplyBitwiseMatchesScalar) {
   for (const std::size_t n : {5u, 27u, 140u}) {
     const CsrMatrix a = random_dominant_matrix(n, 0.25, rng);
     const Vec r = random_vec(n, rng);
-    ParallelContext team(4, test_team_options());
 
-    const JacobiPreconditioner jacobi(a);
-    Vec z_ref, z_tiled, z_team;
-    jacobi.apply(r, z_ref);
-    jacobi.apply(r, z_tiled, KernelContext{KernelPolicy::Tiled, nullptr});
-    jacobi.apply(r, z_team, KernelContext{KernelPolicy::Tiled, &team});
-    EXPECT_TRUE(bit_equal(z_ref, z_tiled)) << "jacobi n=" << n;
-    EXPECT_TRUE(bit_equal(z_ref, z_team)) << "teamed jacobi n=" << n;
+    Vec z_ref, z;
+    ref::jacobi_apply(a, r, z_ref);
+    JacobiPreconditioner(a).apply(r, z);
+    EXPECT_TRUE(bit_equal(z_ref, z)) << "jacobi n=" << n;
 
-    const Ilu0Preconditioner ilu(a);
-    EXPECT_GE(ilu.lower_levels(), 1u);
-    EXPECT_GE(ilu.upper_levels(), 1u);
-    ilu.apply(r, z_ref);
-    ilu.apply(r, z_tiled, KernelContext{KernelPolicy::Tiled, nullptr});
-    ilu.apply(r, z_team, KernelContext{KernelPolicy::Tiled, &team});
-    EXPECT_TRUE(bit_equal(z_ref, z_tiled)) << "wavefront ilu0 n=" << n;
-    EXPECT_TRUE(bit_equal(z_ref, z_team)) << "teamed wavefront ilu0 n=" << n;
+    ref::ilu0_apply(ref::ilu0_factor(a), r, z_ref);
+    Ilu0Preconditioner(a).apply(r, z);
+    EXPECT_TRUE(bit_equal(z_ref, z)) << "ilu0 n=" << n;
   }
-}
-
-// ---- BiCGSTAB across team sizes ---------------------------------------------
-
-TEST(TiledKernels, ParallelBicgstabBitIdenticalAtTeamSizes124) {
-  Xoshiro256 rng(59);
-  const std::size_t n = 211;  // prime: every chunking has ragged tails
-  const CsrMatrix a = random_dominant_matrix(n, 0.15, rng);
-  const Vec b = random_vec(n, rng);
-  const Ilu0Preconditioner precond(a);
-
-  Vec x_ref(n, 0.0);
-  const SolveReport ref = bicgstab(a, b, x_ref, precond);
-  ASSERT_TRUE(ref.converged);
-
-  for (const std::size_t team_size : {1u, 2u, 4u}) {
-    ParallelContext team(team_size, test_team_options());
-    Vec x(n, 0.0);
-    const SolveReport report =
-        bicgstab(a, b, x, precond, SolveOptions{}, nullptr,
-                 KernelContext{KernelPolicy::Tiled, &team});
-    EXPECT_TRUE(report.converged);
-    EXPECT_EQ(report.iterations, ref.iterations) << "team=" << team_size;
-    EXPECT_TRUE(bit_equal(x_ref, x)) << "team=" << team_size;
-  }
-}
-
-// ---- end-to-end: subsolve across all three solver kinds ---------------------
-
-TEST(TiledKernels, SubsolveBitwiseIdenticalAcrossPoliciesAndTeams) {
-  using mg::transport::StageSolverKind;
-  const mg::grid::Grid2D g(2, 3, 3);  // 15x15 interior: odd, real tails
-  for (const auto kind : {StageSolverKind::BandedLU, StageSolverKind::BiCgStabIlu0,
-                          StageSolverKind::BiCgStabJacobi}) {
-    mg::transport::SubsolveConfig scalar_cfg;
-    scalar_cfg.system.solver = kind;
-    const auto ref = mg::transport::subsolve(g, scalar_cfg);
-
-    for (const std::uint32_t inner : {1u, 2u, 4u}) {
-      mg::transport::SubsolveConfig cfg;
-      cfg.system.solver = kind;
-      cfg.system.kernel_policy = KernelPolicy::Tiled;
-      cfg.system.inner_threads = inner;
-      const auto got = mg::transport::subsolve(g, cfg);
-      ASSERT_EQ(ref.solution.data().size(), got.solution.data().size());
-      EXPECT_EQ(std::memcmp(ref.solution.data().data(), got.solution.data().data(),
-                            ref.solution.data().size() * sizeof(double)),
-                0)
-          << to_string(kind) << " inner=" << inner;
-      EXPECT_EQ(ref.stats.accepted, got.stats.accepted);
-      EXPECT_EQ(ref.stats.rejected, got.stats.rejected);
-    }
-  }
-}
-
-// ---- marshal round-trip of the new SystemOptions fields ---------------------
-
-TEST(KernelMarshal, WorkItemRoundTripsKernelPolicyAndInnerThreads) {
-  mg::mw::WorkItem item{};
-  item.index = 7;
-  item.root = 2;
-  item.lx = 3;
-  item.ly = 4;
-  item.config.system.kernel_policy = KernelPolicy::Tiled;
-  item.config.system.inner_threads = 6;
-  const auto bytes = mg::mw::encode_work_item(item);
-  const mg::mw::WorkItem back = mg::mw::decode_work_item(bytes);
-  EXPECT_EQ(back.config.system.kernel_policy, KernelPolicy::Tiled);
-  EXPECT_EQ(back.config.system.inner_threads, 6u);
-
-  // A corrupt inner-thread count must be rejected, not half-trusted.
-  mg::mw::WorkItem bad = item;
-  bad.config.system.inner_threads = 0;
-  EXPECT_THROW(mg::mw::decode_work_item(mg::mw::encode_work_item(bad)),
-               mg::support::DecodeError);
-}
-
-TEST(KernelMarshal, JobSpecRoundTripsKernelFields) {
-  mg::svc::JobSpec spec;
-  spec.root = 2;
-  spec.level = 4;
-  spec.kernel_policy = static_cast<std::int32_t>(KernelPolicy::Tiled);
-  spec.inner_threads = 8;
-  const mg::svc::JobSpec back = mg::svc::decode_job_spec(mg::svc::encode_job_spec(spec));
-  EXPECT_EQ(back.kernel_policy, spec.kernel_policy);
-  EXPECT_EQ(back.inner_threads, spec.inner_threads);
-
-  mg::svc::JobSpec bad = spec;
-  bad.kernel_policy = 9;
-  EXPECT_THROW(mg::svc::decode_job_spec(mg::svc::encode_job_spec(bad)),
-               mg::support::DecodeError);
-}
-
-// ---- CLI flags --------------------------------------------------------------
-
-TEST(KernelCli, ParsesKernelFlags) {
-  const char* argv[] = {"solver", "2", "4", "1e-3", "--kernels=tiled", "--inner-threads=4"};
-  const auto cli = mg::examples::parse_solver_cli(6, argv);
-  ASSERT_TRUE(cli.ok) << cli.error;
-  EXPECT_EQ(cli.kernel_policy, KernelPolicy::Tiled);
-  EXPECT_EQ(cli.inner_threads, 4u);
-}
-
-TEST(KernelCli, RejectsBadKernelFlags) {
-  {
-    const char* argv[] = {"solver", "--kernels=fast"};
-    EXPECT_FALSE(mg::examples::parse_solver_cli(2, argv).ok);
-  }
-  {
-    const char* argv[] = {"solver", "--inner-threads=0"};
-    EXPECT_FALSE(mg::examples::parse_solver_cli(2, argv).ok);
-  }
-  {
-    // Kernel config travels with the work unit; worker-side flags are dead.
-    const char* argv[] = {"solver", "--connect=127.0.0.1:9000", "--kernels=tiled"};
-    EXPECT_FALSE(mg::examples::parse_solver_cli(3, argv).ok);
-  }
-}
-
-// ---- chunk barrier under TSAN -----------------------------------------------
-
-// TSAN: hammers the chunk-deterministic barrier from the leader while every
-// helper writes disjoint slots and reduce partials — run under
-// -fsanitize=thread in CI to prove the generation/condvar protocol is
-// race-free.
-TEST(ChunkBarrier, HammerParallelForAndReduce) {
-  ParallelContext team(4, test_team_options());
-  ASSERT_GE(team.team_size(), 1u);
-
-  std::vector<double> slots(997, 0.0);  // prime size: ragged chunks
-  for (int round = 0; round < 200; ++round) {
-    const double mark = static_cast<double>(round + 1);
-    team.parallel_for(slots.size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) slots[i] = mark + static_cast<double>(i);
-    });
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      ASSERT_EQ(slots[i], mark + static_cast<double>(i));
-    }
-
-    const double sum = team.reduce(slots.size(), [&](std::size_t b, std::size_t e) {
-      double s = 0.0;
-      for (std::size_t i = b; i < e; ++i) s += slots[i];
-      return s;
-    });
-    EXPECT_GT(sum, 0.0);
-  }
-}
-
-TEST(ChunkBarrier, ReduceIsTeamSizeInvariant) {
-  std::vector<double> data(1013);
-  Xoshiro256 rng(71);
-  for (auto& x : data) x = rng.uniform(-1.0, 1.0);
-
-  auto reduce_with = [&](std::size_t team_size) {
-    ParallelContext team(team_size, test_team_options());
-    return team.reduce(data.size(), [&](std::size_t b, std::size_t e) {
-      double s = 0.0;
-      for (std::size_t i = b; i < e; ++i) s += data[i];
-      return s;
-    });
-  };
-  const double one = reduce_with(1);
-  const double two = reduce_with(2);
-  const double four = reduce_with(4);
-  EXPECT_EQ(std::memcmp(&one, &two, sizeof one), 0);
-  EXPECT_EQ(std::memcmp(&one, &four, sizeof one), 0);
-}
-
-TEST(ChunkBarrier, NonLeaderCallsRunInline) {
-  ParallelContext team(4, test_team_options());
-  std::vector<double> slots(64, 0.0);
-  std::thread outsider([&] {
-    team.parallel_for(slots.size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) slots[i] = 1.0;
-    });
-  });
-  outsider.join();
-  for (const double v : slots) EXPECT_EQ(v, 1.0);
 }
 
 }  // namespace

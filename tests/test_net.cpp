@@ -104,6 +104,27 @@ TEST(Frame, BadMagicIsConnectionFatal) {
   EXPECT_THROW(decoder.next(), net::FrameError);
 }
 
+TEST(Frame, PreviousProtocolVersionIsRejectedAtTheHeader) {
+  // A peer one protocol version behind stamps a well-formed header (valid
+  // magic and header CRC); the decoder must refuse it by version before any
+  // payload is decoded.
+  auto bytes = net::encode_frame(net::FrameType::Work, 1, payload_of(16));
+  const std::uint16_t stale = net::FrameHeader::kVersion - 1;
+  bytes[4] = static_cast<std::uint8_t>(stale & 0xFF);
+  bytes[5] = static_cast<std::uint8_t>(stale >> 8);
+  const std::uint32_t header_crc = net::crc32(bytes.data(), 24);
+  for (int i = 0; i < 4; ++i) bytes[24 + i] = static_cast<std::uint8_t>(header_crc >> (8 * i));
+  net::FrameDecoder decoder;
+  decoder.feed(bytes.data(), bytes.size());
+  try {
+    (void)decoder.next();
+    FAIL() << "a stale-version frame decoded";
+  } catch (const net::FrameError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported protocol version"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Frame, HeaderCorruptionFailsTheHeaderCrc) {
   // Flip a bit in the seq field: the payload CRC can't see it, the header
   // CRC must.

@@ -825,6 +825,14 @@ TEST(SolverCli, RejectsUnknownFlagsBadNumbersAndExtraPositionals) {
   EXPECT_FALSE(parse({"--listen=nocolon"}).ok);
   EXPECT_FALSE(parse({"--listen=:99999"}).ok);
   EXPECT_FALSE(parse({"--listen=:0"}).ok);
+  // The retired within-grid knobs are plain unknown flags now, on master and
+  // worker alike: a stale script fails loudly instead of running untuned.
+  for (const char* stale : {"--kernels=tiled", "--inner-threads=2"}) {
+    const auto master = parse({"2", "3", "1e-3", stale});
+    EXPECT_FALSE(master.ok) << stale;
+    EXPECT_NE(master.error.find("unknown flag"), std::string::npos) << master.error;
+    EXPECT_FALSE(parse({"--connect=:7700", stale}).ok) << stale;
+  }
 }
 
 }  // namespace
