@@ -825,9 +825,14 @@ TEST(SolverCli, RejectsUnknownFlagsBadNumbersAndExtraPositionals) {
   EXPECT_FALSE(parse({"--listen=nocolon"}).ok);
   EXPECT_FALSE(parse({"--listen=:99999"}).ok);
   EXPECT_FALSE(parse({"--listen=:0"}).ok);
+}
+
+TEST(KernelCli, RejectsBadKernelFlags) {
   // The retired within-grid knobs are plain unknown flags now, on master and
-  // worker alike: a stale script fails loudly instead of running untuned.
-  for (const char* stale : {"--kernels=tiled", "--inner-threads=2"}) {
+  // worker alike, whatever their value: a stale script fails loudly instead
+  // of running untuned.
+  for (const char* stale :
+       {"--kernels=tiled", "--kernels=fast", "--inner-threads=2", "--inner-threads=0"}) {
     const auto master = parse({"2", "3", "1e-3", stale});
     EXPECT_FALSE(master.ok) << stale;
     EXPECT_NE(master.error.find("unknown flag"), std::string::npos) << master.error;

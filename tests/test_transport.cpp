@@ -233,6 +233,11 @@ struct SchemeOrder {
   double max_order;
 };
 
+// Name each instance by its scheme. Without this gtest prints the raw bytes,
+// the uninitialised padding after `scheme` included, so the test names
+// changed from run to run.
+void PrintTo(const SchemeOrder& s, std::ostream* os) { *os << to_string(s.scheme); }
+
 class SchemeConvergence : public ::testing::TestWithParam<SchemeOrder> {};
 
 TEST_P(SchemeConvergence, ObservedOrderIsInTheExpectedBand) {
