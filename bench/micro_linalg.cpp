@@ -4,6 +4,9 @@
 // which takes a lot of time").
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <vector>
+
 #include "grid/combination.hpp"
 #include "grid/prolongation.hpp"
 #include "linalg/banded.hpp"
@@ -217,6 +220,28 @@ void BM_Prolongate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Prolongate)->Arg(3)->Arg(5);
+
+// The whole combination step: every component of the root-2 family onto the
+// finest grid.  Items = terms x finest-grid nodes.
+void BM_Combine(benchmark::State& state) {
+  const int level = static_cast<int>(state.range(0));
+  const auto terms = grid::combination_terms(2, level);
+  std::vector<grid::Field> components;
+  for (const auto& t : terms) {
+    grid::Field f(t.grid);
+    f.sample([](double x, double y) { return std::sin(3.0 * x) * std::cos(2.0 * y); });
+    components.push_back(std::move(f));
+  }
+  const grid::Grid2D fine = grid::finest_grid(2, level);
+  for (auto _ : state) {
+    auto combined = grid::combine(terms, components, fine);
+    benchmark::DoNotOptimize(combined.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(terms.size() * fine.node_count()));
+}
+BENCHMARK(BM_Combine)->Arg(6)->Arg(9)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -44,8 +44,10 @@ double AthlonCostModel::subsolve_seconds(const grid::Grid2D& g, double tol, doub
 }
 
 double AthlonCostModel::prolongation_seconds(int root, int level, double mhz) const {
-  // The combination is performed hierarchically: the cost is proportional to
-  // the total number of *component* cells, not (components x finest cells).
+  // The simulator's model of the paper's cluster: prolongation cost
+  // proportional to the total number of *component* cells.  This is not the
+  // cost of this code's grid::combine, which is O(terms x finest-grid nodes)
+  // (DESIGN.md §6, "Combination kernel").
   const double speed = mhz / p_.reference_mhz;
   double component_cells = 0.0;
   for (const auto& term : grid::combination_terms(root, level)) {

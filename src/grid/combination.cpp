@@ -1,5 +1,6 @@
 #include "grid/combination.hpp"
 
+#include "grid/bilinear_row.hpp"
 #include "support/check.hpp"
 
 namespace mg::grid {
@@ -26,11 +27,24 @@ Grid2D finest_grid(int root, int level) { return Grid2D(root, level, level); }
 Field combine(const std::vector<CombinationTerm>& terms, const std::vector<Field>& components,
               const Grid2D& fine) {
   MG_REQUIRE(terms.size() == components.size());
-  Field result(fine, 0.0);
+  std::vector<detail::BilinearRowMap> maps;
+  maps.reserve(terms.size());
   for (std::size_t k = 0; k < terms.size(); ++k) {
     MG_REQUIRE(components[k].grid() == terms[k].grid);
-    Field p = prolongate(components[k], fine);
-    result.add_scaled(terms[k].coefficient, p);
+    maps.emplace_back(terms[k].grid, fine);
+  }
+  // One row-major pass: each fine row gathers every term, in term order,
+  // while it sits in cache.  Per node this is 0.0 + c_0 p_0 + c_1 p_1 + ...,
+  // the same sum, in the same order, as prolongating each term onto its own
+  // field and adding the fields term by term.
+  Field result(fine, 0.0);
+  const std::size_t nx = fine.nodes_x();
+  for (std::size_t j = 0; j < fine.nodes_y(); ++j) {
+    double* row = result.data().data() + j * nx;
+    for (std::size_t k = 0; k < terms.size(); ++k) {
+      const double c = terms[k].coefficient;
+      maps[k].row(components[k].data().data(), j, row, [c](double& dst, double v) { dst += c * v; });
+    }
   }
   return result;
 }

@@ -1,32 +1,33 @@
 #include "grid/prolongation.hpp"
 
+#include "grid/bilinear_row.hpp"
 #include "support/check.hpp"
 
 namespace mg::grid {
 
+namespace detail {
+
+BilinearRowMap::BilinearRowMap(const Grid2D& coarse, const Grid2D& fine) {
+  MG_REQUIRE(coarse.root() == fine.root());
+  MG_REQUIRE(fine.lx() >= coarse.lx() && fine.ly() >= coarse.ly());
+  rx_ = std::size_t{1} << (fine.lx() - coarse.lx());
+  ry_ = std::size_t{1} << (fine.ly() - coarse.ly());
+  coarse_nx_ = coarse.nodes_x();
+  coarse_ny_ = coarse.nodes_y();
+  // For fine column i = ic*rx + r, (i - ic*rx) / rx is r / rx: the integer
+  // difference converts to double exactly.
+  tx_.resize(rx_ + 1);
+  for (std::size_t r = 0; r <= rx_; ++r) tx_[r] = static_cast<double>(r) / static_cast<double>(rx_);
+}
+
+}  // namespace detail
+
 Field prolongate(const Field& coarse, const Grid2D& fine_grid) {
-  const Grid2D& cg = coarse.grid();
-  MG_REQUIRE(cg.root() == fine_grid.root());
-  MG_REQUIRE(fine_grid.lx() >= cg.lx() && fine_grid.ly() >= cg.ly());
-
-  const std::size_t rx = std::size_t{1} << (fine_grid.lx() - cg.lx());
-  const std::size_t ry = std::size_t{1} << (fine_grid.ly() - cg.ly());
-
+  const detail::BilinearRowMap map(coarse.grid(), fine_grid);
   Field fine(fine_grid);
+  const std::size_t nx = fine_grid.nodes_x();
   for (std::size_t j = 0; j < fine_grid.nodes_y(); ++j) {
-    // Coarse cell containing fine row j and the vertical interpolation weight.
-    const std::size_t jc = std::min(j / ry, cg.nodes_y() - 2);
-    const double ty = (static_cast<double>(j) - static_cast<double>(jc * ry)) / static_cast<double>(ry);
-    for (std::size_t i = 0; i < fine_grid.nodes_x(); ++i) {
-      const std::size_t ic = std::min(i / rx, cg.nodes_x() - 2);
-      const double tx = (static_cast<double>(i) - static_cast<double>(ic * rx)) / static_cast<double>(rx);
-      const double v00 = coarse.at(ic, jc);
-      const double v10 = coarse.at(ic + 1, jc);
-      const double v01 = coarse.at(ic, jc + 1);
-      const double v11 = coarse.at(ic + 1, jc + 1);
-      fine.at(i, j) = (1.0 - tx) * (1.0 - ty) * v00 + tx * (1.0 - ty) * v10 +
-                      (1.0 - tx) * ty * v01 + tx * ty * v11;
-    }
+    map.row(coarse.data().data(), j, fine.data().data() + j * nx, [](double& dst, double v) { dst = v; });
   }
   return fine;
 }

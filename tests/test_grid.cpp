@@ -4,11 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <ostream>
+#include <random>
+#include <string>
 
 #include "grid/combination.hpp"
 #include "grid/field.hpp"
 #include "grid/grid2d.hpp"
 #include "grid/prolongation.hpp"
+#include "grid_reference.hpp"
 #include "support/check.hpp"
 
 namespace {
@@ -277,6 +282,112 @@ TEST(Combination, CombineValidatesComponentGrids) {
   std::vector<Field> wrong;
   for (std::size_t i = 0; i < terms.size(); ++i) wrong.emplace_back(Grid2D(2, 0, 0));
   EXPECT_THROW(combine(terms, wrong, finest_grid(2, 1)), ContractViolation);
+}
+
+// ---- bitwise identity with the seed loops (tests/grid_reference.hpp) -----------
+
+// Seeded random node values that exercise rounding: signed zeros, magnitudes
+// from 1e-300 to 1e300, subnormals, and ordinary values of both signs.
+void fill_random(Field& f, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<int> kind(0, 9);
+  std::uniform_int_distribution<int> exponent(-300, 300);
+  for (double& v : f.data()) {
+    switch (kind(rng)) {
+      case 0: v = 0.0; break;
+      case 1: v = -0.0; break;
+      case 2: v = unit(rng) * std::pow(10.0, exponent(rng)); break;
+      case 3: v = unit(rng) * 4.9e-324 * 1000.0; break;
+      default: v = unit(rng); break;
+    }
+  }
+}
+
+// First node index at which two fields on one grid differ bitwise (memcmp),
+// or -1 if none.
+long first_bitwise_difference(const Field& a, const Field& b) {
+  if (!(a.grid() == b.grid())) {
+    ADD_FAILURE() << "grids differ: " << a.grid().name() << " vs " << b.grid().name();
+    return 0;
+  }
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (std::memcmp(&a.data()[k], &b.data()[k], sizeof(double)) != 0) return static_cast<long>(k);
+  }
+  return -1;
+}
+
+struct CombineCase {
+  int root;
+  int level;
+};
+
+// Names each case (and its ctest entry) "root<R>_level<L>".
+void PrintTo(const CombineCase& c, std::ostream* os) { *os << "root" << c.root << "_level" << c.level; }
+
+class CombineMatchesReference : public ::testing::TestWithParam<CombineCase> {};
+
+TEST_P(CombineMatchesReference, BitwiseIdenticalToProlongateThenAddScaled) {
+  const auto [root, level] = GetParam();
+  std::mt19937_64 rng(0x5eed0000u + static_cast<unsigned>(100 * root + level));
+  const auto terms = combination_terms(root, level);
+  std::vector<Field> components;
+  for (const auto& t : terms) {
+    Field f(t.grid);
+    fill_random(f, rng);
+    components.push_back(std::move(f));
+  }
+  const Grid2D fine = finest_grid(root, level);
+  const Field got = combine(terms, components, fine);
+  const Field want = grid_reference::combine(terms, components, fine);
+  EXPECT_EQ(first_bitwise_difference(got, want), -1);
+}
+
+std::vector<CombineCase> combine_cases() {
+  std::vector<CombineCase> cases;
+  for (int root = 1; root <= 3; ++root) {
+    for (int level = 0; level <= 8; ++level) cases.push_back({root, level});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(RootsAndLevels, CombineMatchesReference, ::testing::ValuesIn(combine_cases()));
+
+TEST(ProlongateMatchesReference, BitwiseIdenticalOnAnisotropicPairs) {
+  struct Pair {
+    int root, c_lx, c_ly, f_lx, f_ly;
+  };
+  const Pair pairs[] = {
+      {1, 0, 0, 0, 0}, {2, 2, 1, 2, 1}, {3, 1, 3, 1, 3},  // equal grids: rx = ry = 1
+      {2, 0, 3, 4, 3}, {2, 3, 0, 3, 5}, {1, 1, 2, 6, 2},  // one direction refined
+      {2, 0, 0, 5, 1}, {1, 2, 0, 3, 7}, {3, 0, 1, 4, 4},  // both directions refined
+  };
+  std::mt19937_64 rng(0x9707);
+  for (const Pair& p : pairs) {
+    const Grid2D coarse_grid(p.root, p.c_lx, p.c_ly);
+    const Grid2D fine_grid(p.root, p.f_lx, p.f_ly);
+    SCOPED_TRACE(coarse_grid.name() + " -> " + fine_grid.name());
+    Field coarse(coarse_grid);
+    fill_random(coarse, rng);
+    const Field got = prolongate(coarse, fine_grid);
+    const Field want = grid_reference::prolongate(coarse, fine_grid);
+    EXPECT_EQ(first_bitwise_difference(got, want), -1);
+  }
+}
+
+TEST(Combination, CombineRejectsComponentOfDifferentRoot) {
+  auto terms = combination_terms(2, 2);
+  terms[1].grid = Grid2D(3, terms[1].grid.lx(), terms[1].grid.ly());
+  std::vector<Field> components;
+  for (const auto& t : terms) components.emplace_back(t.grid);
+  EXPECT_THROW(combine(terms, components, finest_grid(2, 2)), ContractViolation);
+}
+
+TEST(Combination, CombineRejectsFineGridCoarserThanAComponent) {
+  const auto terms = combination_terms(2, 3);
+  std::vector<Field> components;
+  for (const auto& t : terms) components.emplace_back(t.grid);
+  // G(2;3,0) and G(2;0,3) are finer than G(2;2,2) in one direction each.
+  EXPECT_THROW(combine(terms, components, finest_grid(2, 2)), ContractViolation);
 }
 
 TEST(Combination, FinestGridIsSquareAtLevel) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "linalg/banded.hpp"
 #include "linalg/bicgstab.hpp"
@@ -341,6 +342,15 @@ struct BicgstabParam {
   std::size_t n;
   std::uint64_t seed;
 };
+
+// Names each case (and its ctest entry) "<precond>_n<N>_seed<S>"; without it
+// gtest prints the struct's raw bytes, padding included, which vary per run.
+void PrintTo(const BicgstabParam& p, std::ostream* os) {
+  const char* kind = p.kind == PrecondKind::Identity ? "identity"
+                     : p.kind == PrecondKind::Jacobi ? "jacobi"
+                                                     : "ilu0";
+  *os << kind << "_n" << p.n << "_seed" << p.seed;
+}
 
 class BicgstabRandomSystems : public ::testing::TestWithParam<BicgstabParam> {};
 
