@@ -1,13 +1,14 @@
-// Perf smoke for the pipelined transport (DESIGN.md §15): the same batch of
-// echo round trips pushed through a RemoteEndpoint at pipeline depth 1 (the
-// PR-5 one-in-flight protocol) and depth 4 (the N-in-flight window), over
-// loopback TCP with in-process worker threads.  The depth-4/depth-1
-// throughput ratio is the headline: with more clients than channels, a
-// window keeps the next Work frame already buffered at the worker when it
-// finishes the previous one, so the master's turnaround latency leaves the
-// critical path.  The dispatch-stall counter (time trips spent waiting for
-// a window slot) is reported alongside — at depth 1 every queued trip
-// stalls; the window is what shrinks it.
+// Perf smoke for the pipelined transport (DESIGN.md §15): echo round trips
+// pushed through a RemoteEndpoint over loopback TCP with in-process worker
+// threads, once with one trip outstanding per channel (depth 1: as many
+// clients as workers, so placement never stacks a second trip on a channel)
+// and once with --clients trips outstanding against the endpoint's fixed
+// window of 4 (depth 4).  The depth-4/depth-1 throughput ratio is the
+// headline: with more clients than channels, the window keeps the next
+// Work frame already buffered at the worker when it finishes the previous
+// one, so the master's turnaround latency leaves the critical path.  The
+// dispatch-stall counter (time trips spent queued before their first
+// dispatch) is reported alongside.
 //
 // Loopback has no round-trip time, so the link latency the window exists to
 // hide is emulated (--delay-ms, default 1): a FaultPlan with net_slow=1.0
@@ -65,8 +66,8 @@ struct DepthTiming {
 };
 
 /// One measured batch: `clients` threads × `tasks` echo trips against
-/// `workers` in-process worker threads, all channels at `depth`.
-DepthTiming run_depth_once(std::size_t depth, std::size_t workers, int clients, int tasks,
+/// `workers` in-process worker threads.
+DepthTiming run_depth_once(std::size_t workers, int clients, int tasks,
                            std::size_t payload_bytes, int service_us, int delay_ms) {
   fault::FaultPlanConfig link;
   link.net_slow = delay_ms > 0 ? 1.0 : 0.0;  // every Work frame rides the timer
@@ -75,7 +76,6 @@ DepthTiming run_depth_once(std::size_t depth, std::size_t workers, int clients, 
 
   net::RemoteEndpointConfig config;
   config.telemetry = false;  // raw echo: measure the transport, not the tracer
-  config.elastic.pipeline_depth = depth;
   if (delay_ms > 0) config.faults = &plan;
   net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), config);
 
@@ -135,12 +135,12 @@ DepthTiming run_depth_once(std::size_t depth, std::size_t workers, int clients, 
 
 /// Best-of-`reps` throughput — one-core CI containers are noisy enough that
 /// a single rep can land on a scheduler hiccup.
-DepthTiming run_depth(std::size_t depth, std::size_t workers, int clients, int tasks,
-                      std::size_t payload_bytes, int service_us, int delay_ms, int reps) {
+DepthTiming run_depth(std::size_t workers, int clients, int tasks, std::size_t payload_bytes,
+                      int service_us, int delay_ms, int reps) {
   DepthTiming best;
   for (int r = 0; r < reps; ++r) {
     const DepthTiming t =
-        run_depth_once(depth, workers, clients, tasks, payload_bytes, service_us, delay_ms);
+        run_depth_once(workers, clients, tasks, payload_bytes, service_us, delay_ms);
     if (r == 0 || t.round_trip_rate > best.round_trip_rate) best = t;
   }
   return best;
@@ -192,19 +192,25 @@ int main(int argc, char** argv) {
   report.config().end_object();
   report.derived().begin_object();
 
-  std::printf(
-      "%d clients x %d echo trips of %zu B (%d us service, %d ms link) over %zu workers:\n",
-      clients, tasks, payload_bytes, service_us, delay_ms, workers);
+  std::printf("echo trips of %zu B (%d us service, %d ms link) over %zu workers:\n",
+              payload_bytes, service_us, delay_ms, workers);
+  // Depth 1: one client per worker keeps one trip outstanding per channel.
+  // Its clients take on the other clients' tasks, so both runs move about
+  // the same number of trips.
+  const int depth1_clients = static_cast<int>(workers);
   const DepthTiming depth1 =
-      run_depth(1, workers, clients, tasks, payload_bytes, service_us, delay_ms, reps);
-  std::printf("  depth 1  %.3f s  (%.0f trips/s, stall %.3f s)\n", depth1.wall_seconds,
-              depth1.round_trip_rate, depth1.dispatch_stall_seconds);
+      run_depth(workers, depth1_clients, tasks * clients / depth1_clients, payload_bytes,
+                service_us, delay_ms, reps);
+  std::printf("  depth 1  %.3f s  (%d clients, %.0f trips/s, stall %.3f s)\n",
+              depth1.wall_seconds, depth1_clients, depth1.round_trip_rate,
+              depth1.dispatch_stall_seconds);
   const DepthTiming depth4 =
-      run_depth(4, workers, clients, tasks, payload_bytes, service_us, delay_ms, reps);
+      run_depth(workers, clients, tasks, payload_bytes, service_us, delay_ms, reps);
   const double speedup =
       depth1.round_trip_rate > 0.0 ? depth4.round_trip_rate / depth1.round_trip_rate : 0.0;
-  std::printf("  depth 4  %.3f s  (%.0f trips/s, stall %.3f s, %.2fx)\n", depth4.wall_seconds,
-              depth4.round_trip_rate, depth4.dispatch_stall_seconds, speedup);
+  std::printf("  depth 4  %.3f s  (%d clients, %.0f trips/s, stall %.3f s, %.2fx)\n",
+              depth4.wall_seconds, clients, depth4.round_trip_rate,
+              depth4.dispatch_stall_seconds, speedup);
 
   write_depth(report, "depth1", depth1);
   write_depth(report, "depth4", depth4);

@@ -5,15 +5,12 @@
 // Usage:
 //   mg_solve_client --connect=HOST:PORT [root] [level] [le_tol]
 //                   [--jobs=N] [--priority=P] [--weight=W] [--tag=S]
-//                   [--pipeline=N] [--faults=SPEC] [--cancel-after-ms=N] [--verify]
+//                   [--faults=SPEC] [--cancel-after-ms=N] [--verify]
 //                   [--report-dir=DIR] [--ping] [--timeout-ms=N]
 //                   [--stats] [--stats-format=json|prom]
 //
 // --jobs=N            submit N jobs of this spec (tags suffixed -1..-N) and
 //                     wait for all of them.
-// --pipeline=N        cap how many of the job's tasks the server may have in
-//                     flight at once, 1..64 (default: unlimited).  A tenant-
-//                     side footprint knob; results are bit-identical.
 // --cancel-after-ms=N cancel each job N ms after submission (lifecycle demo).
 // --verify            run solve_sequential locally and require the service's
 //                     combined nodes to be byte-identical.
@@ -83,13 +80,6 @@ int main(int argc, char** argv) {
       spec.tag = v;
     } else if (flag_value(argv[i], "--faults=", v)) {
       spec.fault_spec = v;
-    } else if (flag_value(argv[i], "--pipeline=", v)) {
-      const long n = std::atol(v);
-      if (n < 1 || n > 64) {
-        std::fprintf(stderr, "bad --pipeline '%s' (want 1..64)\n", v);
-        return 2;
-      }
-      spec.pipeline_depth = static_cast<std::uint32_t>(n);
     } else if (flag_value(argv[i], "--cancel-after-ms=", v)) {
       cancel_after_ms = std::atol(v);
     } else if (flag_value(argv[i], "--timeout-ms=", v)) {

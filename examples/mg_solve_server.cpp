@@ -3,16 +3,13 @@
 //
 // Usage:
 //   mg_solve_server [--listen=HOST:PORT] [--lanes=N] [--workers=N]
-//                   [--pipeline=N] [--max-running=N] [--max-queued=N]
+//                   [--max-running=N] [--max-queued=N]
 //                   [--idle-timeout-ms=N] [--run-seconds=N] [--report=PATH]
 //                   [--trace=PATH] [--stats-interval=N]
 //
 // --lanes=N       fleet width: lane threads executing job tasks (default 4).
 // --workers=N     fork N TCP subsolve worker processes and route every task
 //                 over the wire to them (default 0 = compute in the lanes).
-// --pipeline=N    transport pipeline window per worker channel, 1..64
-//                 (default 4); requires --workers.  Operator-level knob,
-//                 distinct from a job's own pipeline_depth cap.
 // --run-seconds=N exit after N seconds (soak harnesses); default: run until
 //                 stdin closes or SIGINT/SIGTERM.
 // --report=PATH   write a fleet-wide run report (svc.* metrics) on exit.
@@ -62,7 +59,6 @@ int main(int argc, char** argv) {
   std::uint16_t listen_port = 0;
   std::size_t lanes = 4;
   std::size_t workers = 0;
-  long pipeline = 0;  // 0 = endpoint default
   std::size_t max_running = 4;
   std::size_t max_queued = 16;
   long idle_timeout_ms = 0;
@@ -82,12 +78,6 @@ int main(int argc, char** argv) {
       lanes = static_cast<std::size_t>(std::atol(v));
     } else if (flag_value(argv[i], "--workers=", v)) {
       workers = static_cast<std::size_t>(std::atol(v));
-    } else if (flag_value(argv[i], "--pipeline=", v)) {
-      pipeline = std::atol(v);
-      if (pipeline < 1 || pipeline > 64) {
-        std::fprintf(stderr, "bad --pipeline '%s' (want 1..64)\n", v);
-        return 2;
-      }
     } else if (flag_value(argv[i], "--max-running=", v)) {
       max_running = static_cast<std::size_t>(std::atol(v));
     } else if (flag_value(argv[i], "--max-queued=", v)) {
@@ -109,10 +99,6 @@ int main(int argc, char** argv) {
   }
   if (lanes == 0) {
     std::fprintf(stderr, "--lanes must be positive\n");
-    return 2;
-  }
-  if (pipeline > 0 && workers == 0) {
-    std::fprintf(stderr, "--pipeline requires --workers (no transport to pipeline)\n");
     return 2;
   }
 
@@ -146,9 +132,7 @@ int main(int argc, char** argv) {
   config.engine.admission.max_queued = max_queued;
   config.idle_timeout = std::chrono::milliseconds(idle_timeout_ms);
   if (workers > 0) {
-    net::RemoteEndpointConfig ep_config;
-    if (pipeline > 0) ep_config.elastic.pipeline_depth = static_cast<std::size_t>(pipeline);
-    endpoint = std::make_unique<net::RemoteEndpoint>(std::move(worker_listener), ep_config);
+    endpoint = std::make_unique<net::RemoteEndpoint>(std::move(worker_listener));
     if (!endpoint->wait_for_workers(workers, std::chrono::milliseconds(15'000))) {
       std::fprintf(stderr, "timed out waiting for %zu tcp worker(s)\n", workers);
       return 3;

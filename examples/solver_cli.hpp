@@ -49,9 +49,6 @@ struct SolverCli {
   std::string listen_host = "127.0.0.1";
   std::uint16_t listen_port = 0;  ///< 0 = ephemeral
   std::size_t tcp_workers = 4;
-  /// Per-channel transport pipeline window (DESIGN.md §15); 0 = endpoint
-  /// default.  Bit-identical at any depth — only wire latency moves.
-  std::uint32_t pipeline_depth = 0;
 
   // TCP worker side.
   bool worker_mode = false;  ///< --connect given
@@ -93,7 +90,6 @@ inline SolverCli parse_solver_cli(int argc, const char* const* argv) {
   bool workers_given = false;
   bool listen_given = false;
   bool backend_given = false;
-  bool pipeline_given = false;
 
   const auto fail = [&cli](const std::string& message) -> SolverCli& {
     cli.ok = false;
@@ -121,13 +117,6 @@ inline SolverCli parse_solver_cli(int argc, const char* const* argv) {
       if (cli.backend != "threads" && cli.backend != "tcp") {
         return fail("unknown --backend '" + cli.backend + "' (want threads or tcp)");
       }
-    } else if (starts_with(arg, "--pipeline=", 11, v)) {
-      pipeline_given = true;
-      long n = 0;
-      if (!parse_long(v, n) || n < 1 || n > 64) {
-        return fail(std::string("bad --pipeline '") + v + "' (want 1..64)");
-      }
-      cli.pipeline_depth = static_cast<std::uint32_t>(n);
     } else if (starts_with(arg, "--workers=", 10, v)) {
       workers_given = true;
       long n = 0;
@@ -192,15 +181,9 @@ inline SolverCli parse_solver_cli(int argc, const char* const* argv) {
       // a worker-local trace file would duplicate them on the wrong timeline.
       return fail("--connect is worker mode; --trace is master-side");
     }
-    if (pipeline_given) {
-      // The pipeline window lives on the master's endpoint; workers just
-      // answer whatever arrives.
-      return fail("--connect is worker mode; --pipeline is master-side");
-    }
   } else if (cli.backend != "tcp") {
     if (workers_given) return fail("--workers requires --backend=tcp");
     if (listen_given) return fail("--listen requires --backend=tcp");
-    if (pipeline_given) return fail("--pipeline requires --backend=tcp");
     if (!cli.net_fault_spec.empty()) return fail("--net-faults requires --backend=tcp");
   }
 

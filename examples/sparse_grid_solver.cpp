@@ -8,7 +8,7 @@
 //   sparse_grid_solver [root] [level] [le_tol] [--report=PATH] [--trace=PATH]
 //                      [--faults=SPEC]
 //                      [--backend=threads|tcp] [--workers=N] [--listen=HOST:PORT]
-//                      [--pipeline=N] [--connect=HOST:PORT] [--net-faults=SPEC]
+//                      [--connect=HOST:PORT] [--net-faults=SPEC]
 //
 // --report=PATH additionally writes a JSON run report: both solves' wall
 // times, the per-grid records, the bit-exactness diff, the accuracy numbers,
@@ -31,14 +31,14 @@
 // replays a seeded spot-instance schedule against the worker fleet while the
 // concurrent solve runs.  On the threads backend the events drive the
 // fault-tolerant pool (Leave re-leases the victim's grid immediately, Crash
-// routes through the normal retry path); on the tcp backend the endpoint
-// runs in elastic mode — late-join worker processes are forked per Join
-// event and accepted mid-run, Leave/Crash events close the busiest channel,
-// idle channels steal leased work, and units past the soft deadline are
-// speculatively re-issued with first-result-wins dedup.  Either way the
-// solve must still be bit-identical to the sequential program, and the
-// report gains a "fleet" section (joins/leaves/crashes/steals/releases/
-// duplicates).
+// routes through the normal retry path); on the tcp backend late-join
+// worker processes are forked per Join event and accepted mid-run,
+// Leave/Crash events close the busiest channel (the trips it carried fail
+// and the fault-tolerant pool retries them), and units past the soft
+// deadline are speculatively re-issued with first-result-wins dedup.
+// Either way the solve must still be bit-identical to the sequential
+// program, and the report gains a "fleet" section (joins/leaves/crashes/
+// steals/releases/duplicates).
 //
 // --backend=tcp runs the concurrent solve over the network substrate: the
 // master binds a TCP listener (--listen=HOST:PORT, default loopback
@@ -49,6 +49,7 @@
 // net_delay_ms, plus seed) injects seeded frame-level faults into the
 // master's send path; the fault-tolerant protocol retries through them and
 // the solve must *still* be bit-identical to the sequential program.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -103,7 +104,7 @@ int main(int argc, char** argv) {
                  "usage: sparse_grid_solver [root] [level] [le_tol] [--report=PATH]\n"
                  "         [--trace=PATH] [--faults=SPEC] [--churn=SPEC]\n"
                  "         [--backend=threads|tcp]\n"
-                 "         [--workers=N] [--listen=HOST:PORT] [--pipeline=N]\n"
+                 "         [--workers=N] [--listen=HOST:PORT]\n"
                  "         [--net-faults=SPEC]\n"
                  "       sparse_grid_solver --connect=HOST:PORT   (worker mode)\n");
     return 2;
@@ -158,8 +159,8 @@ int main(int argc, char** argv) {
       return mw::run_subsolve_worker(host, port);
     });
     // Churn joins: fork one late worker per Join event.  Each child sleeps
-    // until its scheduled join time before connecting, so the elastic
-    // endpoint accepts it into the lease set mid-run.
+    // until its scheduled join time before connecting, so the endpoint
+    // accepts it into the lease set mid-run.
     if (churn_on) {
       for (const auto& ev : churn_plan.events()) {
         if (ev.kind != fleet::ChurnEventKind::Join) continue;
@@ -209,7 +210,6 @@ int main(int argc, char** argv) {
   std::unique_ptr<net::RemoteEndpoint> endpoint;
   if (tcp) {
     net::RemoteEndpointConfig ep_config;
-    if (cli.pipeline_depth > 0) ep_config.elastic.pipeline_depth = cli.pipeline_depth;
     if (!net_fault_spec.empty()) {
       net_plan = std::make_unique<const fault::FaultPlan>(fault::parse_fault_spec(net_fault_spec));
       ep_config.faults = net_plan.get();
@@ -224,10 +224,12 @@ int main(int argc, char** argv) {
     // as crash_worker, which the legacy rendezvous cannot digest.
     if (!options.retry) options.retry = fault::RetryPolicy{};
     if (churn_on) {
-      ep_config.elastic.enabled = true;
-      ep_config.elastic.lease_depth = 2;
-      ep_config.elastic.soft_deadline = std::chrono::milliseconds(1500);
-      std::printf("\nchurn on (tcp elastic): seed=%llu joins=%zu leaves=%zu crashes=%zu "
+      ep_config.soft_deadline = std::chrono::milliseconds(1500);
+      // A disrupted channel fails the trips it carried; the pool retries
+      // them.  Each Leave/Crash costs a unit at most one attempt.
+      options.retry->max_attempts = std::max(options.retry->max_attempts,
+                                             1 + churn_cfg.leaves + churn_cfg.crashes);
+      std::printf("\nchurn on (tcp fleet): seed=%llu joins=%zu leaves=%zu crashes=%zu "
                   "over [%g, %g)s\n",
                   static_cast<unsigned long long>(churn_cfg.seed), churn_cfg.joins,
                   churn_cfg.leaves, churn_cfg.crashes, churn_cfg.start_seconds,
@@ -242,7 +244,6 @@ int main(int argc, char** argv) {
       return 3;
     }
     options.remote = endpoint.get();
-    options.pipeline_depth = cli.pipeline_depth;  // 0 = endpoint default
   } else if (churn_on) {
     options.churn = churn_cfg;
     std::printf("\nchurn on (threads pool): seed=%llu joins=%zu leaves=%zu crashes=%zu "
@@ -253,7 +254,7 @@ int main(int argc, char** argv) {
   }
 
   // The spot-instance adversary: a thread replaying the plan's Leave/Crash
-  // events against the elastic endpoint while the solve runs.
+  // events against the endpoint while the solve runs.
   std::atomic<bool> churn_stop{false};
   std::thread churn_thread;
   if (endpoint && churn_on) {
@@ -289,7 +290,6 @@ int main(int argc, char** argv) {
     fleet.joins += nc.fleet_joins;
     fleet.leaves += nc.fleet_leaves;
     fleet.crashes += nc.fleet_crashes;
-    fleet.steals += nc.fleet_steals;
     fleet.releases += nc.fleet_releases;
     fleet.duplicates += nc.fleet_duplicates;
   }

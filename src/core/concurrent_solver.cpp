@@ -270,7 +270,6 @@ ConcurrentResult solve_concurrent(const transport::ProgramConfig& program,
   std::shared_ptr<InjectionStats> injections;
   if (options.remote != nullptr) {
     MG_REQUIRE(options.data_path == DataPath::ThroughMaster);
-    if (options.pipeline_depth > 0) options.remote->set_pipeline_depth(options.pipeline_depth);
     factory = make_remote_worker_factory(*options.remote, run_options.retry.has_value());
   } else if (run_options.retry) {
     auto plan = options.faults.any()

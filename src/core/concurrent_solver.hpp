@@ -103,12 +103,6 @@ struct ConcurrentOptions {
   /// as worker crashes, so `retry` supervises remote workers exactly like
   /// local ones.  Not owned; must outlive the run.
   net::RemoteEndpoint* remote = nullptr;
-  /// Transport pipeline window override: when > 0 and `remote` is set, the
-  /// endpoint is told to keep up to this many seq-tagged work units in
-  /// flight per channel (RemoteEndpoint::set_pipeline_depth).  0 leaves the
-  /// endpoint's configured depth alone.  Any value is bit-identical — the
-  /// window only reorders wire traffic, never results (DESIGN.md §15).
-  std::uint32_t pipeline_depth = 0;
 };
 
 struct ConcurrentResult {

@@ -58,7 +58,8 @@ struct FrameHeader {
   // prefix, Result may be a telemetry envelope, GetStats/StatsReport added.
   // v3: the Work unit's kernel config and the SubmitJob JobSpec each lost
   // two i32 fields, so a v2 peer is refused here, not by a misaligned decode.
-  static constexpr std::uint16_t kVersion = 3;
+  // v4: the SubmitJob JobSpec lost its trailing i32 pipeline window.
+  static constexpr std::uint16_t kVersion = 4;
   static constexpr std::size_t kWireSize = 28;
 
   std::uint16_t version = kVersion;

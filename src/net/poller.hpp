@@ -16,14 +16,13 @@
 //
 // Event bits are poll()'s own (POLLIN/POLLOUT/POLLERR/POLLHUP): they are the
 // lingua franca both kernels speak, so backends translate *to* them and the
-// loop above never knows which backend ran.  Backend selection is runtime —
-// make_poller(Auto) picks epoll on Linux unless MG_NET_POLLER=poll vetoes it
-// — so one binary serves both and tests can script the same fd scenario
-// through both implementations.
+// loop above never knows which backend ran.  The backend is chosen at build
+// time — make_poller() is epoll on Linux, poll elsewhere — and tests script
+// the same fd scenario through make_poll_poller() and make_poller() to pin
+// the two against each other.
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace mg::net {
@@ -57,23 +56,11 @@ class Poller {
   virtual int wait(std::vector<PollerEvent>& out, int timeout_ms) = 0;
 };
 
-enum class PollerBackend {
-  Auto,   ///< epoll where available, else poll; MG_NET_POLLER overrides
-  Poll,   ///< portable poll() backend
-  Epoll,  ///< Linux epoll backend (make_poller throws where unsupported)
-};
+/// The portable poll() backend: the readiness path off Linux, and the
+/// reference semantics the epoll backend is tested against.
+std::unique_ptr<Poller> make_poll_poller();
 
-const char* to_string(PollerBackend b);
-
-/// Parses "auto" / "poll" / "epoll"; false on anything else.
-bool parse_poller_backend(const std::string& text, PollerBackend& out);
-
-/// True when the Epoll backend exists in this build.
-bool epoll_supported();
-
-/// Builds the requested backend.  Auto resolves to epoll on Linux, poll
-/// elsewhere; the MG_NET_POLLER environment variable ("poll" / "epoll"),
-/// when set, overrides Auto — a deployment knob and the parity-test lever.
-std::unique_ptr<Poller> make_poller(PollerBackend backend = PollerBackend::Auto);
+/// The build's readiness backend: epoll on Linux, poll elsewhere.
+std::unique_ptr<Poller> make_poller();
 
 }  // namespace mg::net

@@ -139,8 +139,6 @@ JobTicket SolveEngine::submit(const JobSpec& spec) {
     why = "le_tol must be > 0";
   } else if (!(spec.weight > 0.0)) {
     why = "weight must be > 0";
-  } else if (spec.pipeline_depth > 64) {
-    why = "pipeline_depth out of range [0, 64]";
   } else if (!spec.fault_spec.empty()) {
     try {
       (void)fault::parse_fault_spec(spec.fault_spec);
@@ -198,8 +196,7 @@ JobTicket SolveEngine::submit(const JobSpec& spec) {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
     jobs_.emplace(job->id, job);
   }
-  if (!scheduler_.admit(job->id, spec.priority, spec.weight, std::move(tasks), reason,
-                        spec.pipeline_depth)) {
+  if (!scheduler_.admit(job->id, spec.priority, spec.weight, std::move(tasks), reason)) {
     {
       std::lock_guard<std::mutex> lock(jobs_mutex_);
       jobs_.erase(job->id);
@@ -230,10 +227,7 @@ void SolveEngine::lane_main(std::size_t lane_index) {
       const auto it = jobs_.find(task->job);
       if (it != jobs_.end()) job = it->second;
     }
-    if (!job) {
-      scheduler_.task_finished(task->job);
-      continue;
-    }
+    if (!job) continue;
     {
       std::lock_guard<std::mutex> lock(job->m);
       if (!job->started) {
@@ -263,7 +257,6 @@ void SolveEngine::lane_main(std::size_t lane_index) {
       }
     }
     busy_lanes_.fetch_sub(1, std::memory_order_relaxed);
-    scheduler_.task_finished(task->job);
   }
 }
 
@@ -278,7 +271,6 @@ void SolveEngine::execute_task(Job& job, const TaskRef& task) {
 
   const std::size_t max_attempts = std::max<std::size_t>(1, config_.retry.max_attempts);
   std::optional<mw::ResultItem> result;
-  bool fell_back = false;
 
   for (std::size_t attempt = 0; attempt < max_attempts && !result; ++attempt) {
     if (job.cancel.load(std::memory_order_acquire)) {
@@ -362,7 +354,6 @@ void SolveEngine::execute_task(Job& job, const TaskRef& task) {
     // bits — the tenant degrades to in-process compute, never to a wrong
     // answer or a hang.
     result = mw::execute_work_item(item);
-    fell_back = true;
     job.metrics.counter("job.local_fallbacks").add();
     svc_metrics().remote_fallbacks.add();
     {
@@ -370,7 +361,6 @@ void SolveEngine::execute_task(Job& job, const TaskRef& task) {
       ++counters_.remote_fallbacks;
     }
   }
-  (void)fell_back;
 
   const double task_seconds = task_watch.elapsed_seconds();
   job_task_seconds.observe(task_seconds);
@@ -659,7 +649,6 @@ fleet::FleetCounters SolveEngine::fleet_counters() const {
     out.joins += rc.fleet_joins;
     out.leaves += rc.fleet_leaves;
     out.crashes += rc.fleet_crashes;
-    out.steals += rc.fleet_steals;
     out.releases += rc.fleet_releases;
     out.duplicates += rc.fleet_duplicates;
   }

@@ -391,9 +391,7 @@ std::string service_stats_prometheus(const ServiceStats& s) {
                s.fleet.joins);
   prom_counter(out, "svc_fleet_leaves", "Graceful fleet departures.", s.fleet.leaves);
   prom_counter(out, "svc_fleet_crashes", "Abrupt fleet deaths handled.", s.fleet.crashes);
-  prom_counter(out, "svc_fleet_steals", "Work units stolen off a loaded lane.",
-               s.fleet.steals);
-  prom_counter(out, "svc_fleet_releases", "Work units re-leased (churn or past deadline).",
+  prom_counter(out, "svc_fleet_releases", "Work units re-leased past the soft deadline.",
                s.fleet.releases);
   prom_counter(out, "svc_fleet_duplicates", "Speculative-loser results discarded.",
                s.fleet.duplicates);

@@ -1,4 +1,4 @@
-// Tier-2 churn soak: 8 concurrent tenant jobs over an elastic TCP fleet of 4
+// Tier-2 churn soak: 8 concurrent tenant jobs over a TCP fleet of 4
 // forked worker processes that loses half its workers mid-run (one graceful
 // leave, one crash) and regains them via reconnect, while the service's lane
 // fleet is resized up and back down.  Every completed job must stay
@@ -49,12 +49,10 @@ TEST(ChurnSoak, EightTenantsSurviveLosingAndRegainingHalfTheFleet) {
       return mw::run_subsolve_worker("127.0.0.1", worker_port);
     });
 
-    // 2. Elastic endpoint: disrupted channels re-queue their leases instead
-    //    of failing trips, and idle channels steal from loaded ones.
+    // 2. The endpoint: a disrupted channel fails the trips it carried, and
+    //    the engine's RetryPolicy re-dispatches them to a live channel.
     net::RemoteEndpointConfig ep_config;
     ep_config.round_trip_deadline = 30'000ms;
-    ep_config.elastic.enabled = true;
-    ep_config.elastic.lease_depth = 2;
     net::RemoteEndpoint endpoint(std::move(worker_listener), ep_config);
     ASSERT_TRUE(endpoint.wait_for_workers(4, 15s));
 

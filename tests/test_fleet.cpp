@@ -2,7 +2,7 @@
 // parser, the shared FleetCounters contract, churn applied to the threaded
 // pool (protocol level and full solve), the virtual-time elastic simulator
 // (determinism + exactly-once completion), the elastic TCP endpoint
-// (stealing, disrupt-driven churn, speculative-duplicate discard), and the
+// (disrupt-driven churn, soft-deadline speculation, duplicate discard), and the
 // worker reconnect failure-budget regression.  The one invariant everything
 // here asserts from a different angle: however much the fleet churns, every
 // work unit is combined exactly once and results stay bit-identical to the
@@ -273,10 +273,7 @@ TEST(ElasticEndpoint, DisruptDrivenChurnKeepsTheSolveBitExact) {
   program.level = 3;
   const auto seq = transport::solve_sequential(program);
 
-  net::RemoteEndpointConfig config;
-  config.elastic.enabled = true;
-  config.elastic.lease_depth = 2;
-  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), config);
+  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0));
   SubsolveWorkers workers(endpoint.port(), 3);
   ASSERT_TRUE(endpoint.wait_for_workers(3, 10s));
 
@@ -301,14 +298,14 @@ TEST(ElasticEndpoint, DisruptDrivenChurnKeepsTheSolveBitExact) {
   churner.join();
   EXPECT_EQ(remote.solve.combined.max_diff(seq.combined), 0.0);
   const net::RemoteCounters c = endpoint.counters();
-  EXPECT_EQ(c.fleet_joins, c.accepts) << "every elastic Hello joins the lease set";
+  EXPECT_EQ(c.fleet_joins, c.accepts) << "every Hello joins the lease set";
   EXPECT_LE(c.fleet_leaves, 1u);
   EXPECT_LE(c.fleet_crashes, 1u);
   endpoint.shutdown();
 }
 
 /// A raw fake worker: completes the Hello handshake by hand so the test can
-/// violate the protocol deliberately (double Results for one lease).
+/// hold a lease, answer out of turn, or violate the protocol deliberately.
 struct FakeWorker {
   net::Socket sock;
   net::FrameDecoder decoder;
@@ -341,7 +338,6 @@ struct FakeWorker {
 TEST(ElasticEndpoint, DuplicateResultIsDiscardedAndTheChannelSurvives) {
   net::RemoteEndpointConfig config;
   config.telemetry = false;  // raw payloads: the fake worker speaks v1 frames
-  config.elastic.enabled = true;
   net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), config);
   FakeWorker worker(endpoint.port());
   ASSERT_TRUE(endpoint.wait_for_workers(1, 5s));
@@ -374,12 +370,9 @@ TEST(ElasticEndpoint, DuplicateResultIsDiscardedAndTheChannelSurvives) {
   endpoint.shutdown();
 }
 
-TEST(ElasticEndpoint, DuplicateResultIsAProtocolViolationWhenElasticIsOff) {
+TEST(ElasticEndpoint, ResultWithANeverIssuedSeqClosesTheChannel) {
   net::RemoteEndpointConfig config;
   config.telemetry = false;
-  // Depth 1 restores the strict PR-5 contract this test pins; any wider
-  // pipeline window turns on the retired-seq dedup that drops the echo.
-  config.elastic.pipeline_depth = 1;
   net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), config);
   FakeWorker worker(endpoint.port());
   ASSERT_TRUE(endpoint.wait_for_workers(1, 5s));
@@ -387,16 +380,72 @@ TEST(ElasticEndpoint, DuplicateResultIsAProtocolViolationWhenElasticIsOff) {
   auto trip = std::async(std::launch::async, [&] { return endpoint.round_trip({1}); });
   const auto work = worker.next_frame();
   ASSERT_TRUE(work.has_value());
-  worker.send_result(work->header.seq, {7});
-  worker.send_result(work->header.seq, {7});
-  ASSERT_TRUE(trip.get().ok);
 
-  // The fixed-fleet endpoint keeps the strict one-lease-one-result contract:
-  // the echo closes the channel (the fake worker sees EOF).
+  // The dedup ring only forgives seqs the endpoint issued and retired; a seq
+  // it never issued is a protocol violation.  The channel closes (the fake
+  // worker sees EOF) and the trip it carried fails for the caller to retry.
+  worker.send_result(work->header.seq + 1000, {7});
   EXPECT_FALSE(worker.next_frame().has_value());
+  const auto result = trip.get();
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("unexpected Result seq"), std::string::npos) << result.error;
   const net::RemoteCounters c = endpoint.counters();
   EXPECT_EQ(c.fleet_duplicates, 0u);
   EXPECT_EQ(c.disconnects, 1u);
+  endpoint.shutdown();
+}
+
+TEST(ElasticEndpoint, SoftDeadlineCopyWinsWhenTheOriginalCarrierDies) {
+  net::RemoteEndpointConfig config;
+  config.telemetry = false;
+  config.soft_deadline = 50ms;
+  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), config);
+  FakeWorker slow(endpoint.port());
+  ASSERT_TRUE(endpoint.wait_for_workers(1, 5s));
+
+  auto trip = std::async(std::launch::async, [&] { return endpoint.round_trip({1, 2}); });
+  const auto original = slow.next_frame();
+  ASSERT_TRUE(original.has_value());
+
+  // The slow worker holds its lease past the soft deadline, so a copy goes
+  // to the idle second worker under a seq of its own.
+  FakeWorker idle(endpoint.port());
+  const auto copy = idle.next_frame();
+  ASSERT_TRUE(copy.has_value()) << "no speculative copy reached the idle worker";
+  ASSERT_EQ(copy->header.type, net::FrameType::Work);
+  EXPECT_NE(copy->header.seq, original->header.seq);
+  EXPECT_EQ(copy->payload, original->payload);
+
+  // The original carrier dies while the copy is in flight: the copy still
+  // carries the trip, so it must not fail.
+  slow.sock.close();
+  const auto until = std::chrono::steady_clock::now() + 5s;
+  while (endpoint.counters().disconnects < 1 && std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(5ms);
+  }
+  ASSERT_EQ(endpoint.counters().disconnects, 1u);
+  EXPECT_EQ(trip.wait_for(50ms), std::future_status::timeout) << "trip failed with its carrier";
+
+  // The copy's Result wins.
+  idle.send_result(copy->header.seq, {7});
+  const auto result = trip.get();
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.payload, (std::vector<std::uint8_t>{7}));
+
+  // A late echo of the original lease is a counted duplicate: it is dropped
+  // and the channel survives to carry the next trip.
+  idle.send_result(original->header.seq, {1, 2});
+  auto again = std::async(std::launch::async, [&] { return endpoint.round_trip({3}); });
+  const auto work = idle.next_frame();
+  ASSERT_TRUE(work.has_value()) << "the late echo closed the channel";
+  idle.send_result(work->header.seq, {4});
+  EXPECT_TRUE(again.get().ok);
+
+  const net::RemoteCounters c = endpoint.counters();
+  EXPECT_EQ(c.fleet_releases, 1u);
+  EXPECT_EQ(c.fleet_duplicates, 1u);
+  EXPECT_EQ(c.disconnects, 1u);
+  EXPECT_EQ(c.round_trips_failed, 0u);
   endpoint.shutdown();
 }
 

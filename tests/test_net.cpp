@@ -423,29 +423,18 @@ struct FakeWorker {
   }
 };
 
-net::RemoteEndpointConfig pipelined_config(std::size_t depth) {
+net::RemoteEndpointConfig raw_config() {
   net::RemoteEndpointConfig config;
   config.telemetry = false;  // raw payloads: the fake worker speaks v1 frames
-  config.elastic.pipeline_depth = depth;
   return config;
 }
 
-TEST(PipelinedEndpoint, DepthKnobClampsToTheProtocolWindow) {
-  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), pipelined_config(4));
-  EXPECT_EQ(endpoint.pipeline_depth(), 4u);
-  endpoint.set_pipeline_depth(0);  // below the floor: one in flight minimum
-  EXPECT_EQ(endpoint.pipeline_depth(), 1u);
-  endpoint.set_pipeline_depth(1000);  // above the seq-window cap
-  EXPECT_EQ(endpoint.pipeline_depth(), 64u);
-  endpoint.shutdown();
-}
-
 TEST(PipelinedEndpoint, WindowOfFramesRidesOneChannelAndCompletesOutOfOrder) {
-  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), pipelined_config(4));
+  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), raw_config());
   FakeWorker worker(endpoint.port());
   ASSERT_TRUE(endpoint.wait_for_workers(1, 5s));
 
-  // Three concurrent trips against ONE worker: with a depth-4 window all
+  // Three concurrent trips against ONE worker: with the window of 4 all
   // three Work frames must reach the wire without waiting on each other.
   std::vector<std::future<net::RemoteEndpoint::RoundTrip>> trips;
   for (std::uint8_t tag = 1; tag <= 3; ++tag) {
@@ -478,10 +467,9 @@ TEST(PipelinedEndpoint, WindowOfFramesRidesOneChannelAndCompletesOutOfOrder) {
 }
 
 TEST(PipelinedEndpoint, DuplicateSeqInsideTheWindowIsDroppedNotFatal) {
-  // Same scenario as the elastic duplicate test, but with elastic OFF: the
-  // pipeline window alone turns on the retired-seq dedup, so a double Result
-  // for one lease is counted and dropped and the channel survives.
-  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), pipelined_config(4));
+  // A double Result for one lease inside the window: the retired-seq dedup
+  // counts and drops the echo, and the channel survives.
+  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), raw_config());
   FakeWorker worker(endpoint.port());
   ASSERT_TRUE(endpoint.wait_for_workers(1, 5s));
 
@@ -505,7 +493,7 @@ TEST(PipelinedEndpoint, DuplicateSeqInsideTheWindowIsDroppedNotFatal) {
 }
 
 TEST(PipelinedEndpoint, CancellationMidWindowSparesTheOtherFramesInFlight) {
-  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), pipelined_config(4));
+  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), raw_config());
   FakeWorker worker(endpoint.port());
   ASSERT_TRUE(endpoint.wait_for_workers(1, 5s));
 
@@ -549,7 +537,7 @@ TEST(PipelinedEndpoint, CancellationMidWindowSparesTheOtherFramesInFlight) {
   endpoint.shutdown();
 }
 
-// ---- pipelined solves: bit-identity at any depth ------------------------------------
+// ---- pipelined solves: bit-identity at the fixed window ----------------------------
 
 /// In-process subsolve workers (threads, not forks — cheap enough for
 /// tier 1); the fork-based equivalent soaks in test_net_soak.cpp.
@@ -567,28 +555,24 @@ struct SubsolveWorkers {
 };
 
 TEST(PipelinedSolve, DepthFourMatchesDepthOneAndTheSequentialProgram) {
+  // One solve at the endpoint's fixed window (RemoteEndpoint::kWindow).
   transport::ProgramConfig program;
   program.root = 2;
   program.level = 3;
   const auto seq = transport::solve_sequential(program);
 
-  for (const std::uint32_t depth : {1u, 4u}) {
-    SCOPED_TRACE("depth " + std::to_string(depth));
-    net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0));
-    SubsolveWorkers workers(endpoint.port(), 2);
-    ASSERT_TRUE(endpoint.wait_for_workers(2, 10s));
+  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0));
+  SubsolveWorkers workers(endpoint.port(), 2);
+  ASSERT_TRUE(endpoint.wait_for_workers(2, 10s));
 
-    mw::ConcurrentOptions options;
-    options.remote = &endpoint;
-    options.retry = fault::RetryPolicy{};
-    options.pipeline_depth = depth;
-    const auto remote = mw::solve_concurrent(program, options);
+  mw::ConcurrentOptions options;
+  options.remote = &endpoint;
+  options.retry = fault::RetryPolicy{};
+  const auto remote = mw::solve_concurrent(program, options);
 
-    EXPECT_EQ(endpoint.pipeline_depth(), depth) << "ConcurrentOptions did not reach the endpoint";
-    EXPECT_EQ(remote.solve.combined.max_diff(seq.combined), 0.0);
-    EXPECT_EQ(endpoint.counters().round_trips_failed, 0u);
-    endpoint.shutdown();
-  }
+  EXPECT_EQ(remote.solve.combined.max_diff(seq.combined), 0.0);
+  EXPECT_EQ(endpoint.counters().round_trips_failed, 0u);
+  endpoint.shutdown();
 }
 
 TEST(PipelinedSolve, DepthFourUnderSeededNetFaultsStaysBitIdentical) {
@@ -608,7 +592,6 @@ TEST(PipelinedSolve, DepthFourUnderSeededNetFaultsStaysBitIdentical) {
   net::RemoteEndpointConfig config;
   config.round_trip_deadline = 2000ms;
   config.faults = &plan;
-  config.elastic.pipeline_depth = 4;
   net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), config);
   SubsolveWorkers workers(endpoint.port(), 2);
   ASSERT_TRUE(endpoint.wait_for_workers(2, 10s));
@@ -631,11 +614,7 @@ TEST(PipelinedSolve, DepthFourUnderChurnStaysBitIdentical) {
   program.level = 3;
   const auto seq = transport::solve_sequential(program);
 
-  net::RemoteEndpointConfig config;
-  config.elastic.enabled = true;
-  config.elastic.lease_depth = 2;
-  config.elastic.pipeline_depth = 4;
-  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0), config);
+  net::RemoteEndpoint endpoint(net::TcpListener("127.0.0.1", 0));
   SubsolveWorkers workers(endpoint.port(), 3);
   ASSERT_TRUE(endpoint.wait_for_workers(3, 10s));
 

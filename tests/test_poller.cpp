@@ -2,7 +2,7 @@
 // scripted fd scenarios (PollPoller is the reference semantics the epoll
 // backend is pinned against), HUP/ERR mapping into poll() vocabulary,
 // interest-set edge cases (re-arm, unknown modify, remove-after-close), the
-// runtime selection knobs, and the event-loop contracts the seam must not
+// build-time backend choice, and the event-loop contracts the seam must not
 // disturb: deadline-heap timer ordering, self-pipe wakeup latency, and
 // tolerance of spurious wakeups.
 #include <gtest/gtest.h>
@@ -13,7 +13,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -58,12 +59,11 @@ struct Pipe {
   }
 };
 
-/// Every backend available in this build; parity tests run the same script
-/// through each and compare against the poll() reference behaviour.
-std::vector<net::PollerBackend> available_backends() {
-  std::vector<net::PollerBackend> backends{net::PollerBackend::Poll};
-  if (net::epoll_supported()) backends.push_back(net::PollerBackend::Epoll);
-  return backends;
+/// The poll() reference and the build's backend (epoll on Linux); parity
+/// tests run the same script through each.
+using PollerFactory = std::unique_ptr<net::Poller> (*)();
+std::vector<PollerFactory> available_backends() {
+  return {net::make_poll_poller, net::make_poller};
 }
 
 short revents_of(const std::vector<net::PollerEvent>& events, int fd) {
@@ -75,41 +75,21 @@ short revents_of(const std::vector<net::PollerEvent>& events, int fd) {
 
 // ---- backend selection --------------------------------------------------------------
 
-TEST(Poller, BackendNamesRoundTripThroughTheParser) {
-  for (const auto b :
-       {net::PollerBackend::Auto, net::PollerBackend::Poll, net::PollerBackend::Epoll}) {
-    net::PollerBackend parsed;
-    ASSERT_TRUE(net::parse_poller_backend(net::to_string(b), parsed));
-    EXPECT_EQ(parsed, b);
-  }
-  net::PollerBackend parsed;
-  EXPECT_FALSE(net::parse_poller_backend("kqueue", parsed));
-  EXPECT_FALSE(net::parse_poller_backend("", parsed));
-}
-
 TEST(Poller, ExplicitBackendsReportTheirOwnName) {
-  EXPECT_STREQ(net::make_poller(net::PollerBackend::Poll)->name(), "poll");
-  if (net::epoll_supported()) {
-    EXPECT_STREQ(net::make_poller(net::PollerBackend::Epoll)->name(), "epoll");
-  }
-}
-
-TEST(Poller, EnvironmentVetoForcesThePollBackendUnderAuto) {
-  ::setenv("MG_NET_POLLER", "poll", 1);
-  const auto vetoed = net::make_poller(net::PollerBackend::Auto);
-  EXPECT_STREQ(vetoed->name(), "poll");
-  ::unsetenv("MG_NET_POLLER");
-  // Without the veto, Auto resolves to the best backend in the build.
-  const auto resolved = net::make_poller(net::PollerBackend::Auto);
-  EXPECT_STREQ(resolved->name(), net::epoll_supported() ? "epoll" : "poll");
+  EXPECT_STREQ(net::make_poll_poller()->name(), "poll");
+#if defined(__linux__)
+  EXPECT_STREQ(net::make_poller()->name(), "epoll");
+#else
+  EXPECT_STREQ(net::make_poller()->name(), "poll");
+#endif
 }
 
 // ---- scripted scenarios, run identically through every backend ----------------------
 
 TEST(Poller, ReportsReadableFdsAndOnlyThose) {
-  for (const auto backend : available_backends()) {
-    SCOPED_TRACE(net::to_string(backend));
-    const auto poller = net::make_poller(backend);
+  for (const auto make : available_backends()) {
+    const auto poller = make();
+    SCOPED_TRACE(poller->name());
     Pipe quiet;
     Pipe noisy;
     poller->add(quiet.rd, POLLIN);
@@ -126,9 +106,9 @@ TEST(Poller, ReportsReadableFdsAndOnlyThose) {
 }
 
 TEST(Poller, TimesOutWithZeroEventsWhenNothingIsReady) {
-  for (const auto backend : available_backends()) {
-    SCOPED_TRACE(net::to_string(backend));
-    const auto poller = net::make_poller(backend);
+  for (const auto make : available_backends()) {
+    const auto poller = make();
+    SCOPED_TRACE(poller->name());
     Pipe idle;
     poller->add(idle.rd, POLLIN);
     std::vector<net::PollerEvent> events{{999, POLLIN}};  // must be cleared
@@ -138,9 +118,9 @@ TEST(Poller, TimesOutWithZeroEventsWhenNothingIsReady) {
 }
 
 TEST(Poller, WritableSideIsReadyUntilModifyDisarmsIt) {
-  for (const auto backend : available_backends()) {
-    SCOPED_TRACE(net::to_string(backend));
-    const auto poller = net::make_poller(backend);
+  for (const auto make : available_backends()) {
+    const auto poller = make();
+    SCOPED_TRACE(poller->name());
     Pipe p;
     poller->add(p.wr, POLLOUT);
 
@@ -155,9 +135,9 @@ TEST(Poller, WritableSideIsReadyUntilModifyDisarmsIt) {
 }
 
 TEST(Poller, AddOnAKnownFdReArmsWithTheNewMask) {
-  for (const auto backend : available_backends()) {
-    SCOPED_TRACE(net::to_string(backend));
-    const auto poller = net::make_poller(backend);
+  for (const auto make : available_backends()) {
+    const auto poller = make();
+    SCOPED_TRACE(poller->name());
     Pipe p;
     p.put();
     poller->add(p.rd, POLLIN);
@@ -173,9 +153,9 @@ TEST(Poller, AddOnAKnownFdReArmsWithTheNewMask) {
 }
 
 TEST(Poller, ModifyOfAnUnknownFdIsANoOp) {
-  for (const auto backend : available_backends()) {
-    SCOPED_TRACE(net::to_string(backend));
-    const auto poller = net::make_poller(backend);
+  for (const auto make : available_backends()) {
+    const auto poller = make();
+    SCOPED_TRACE(poller->name());
     Pipe registered;
     Pipe stranger;
     registered.put();
@@ -189,9 +169,9 @@ TEST(Poller, ModifyOfAnUnknownFdIsANoOp) {
 }
 
 TEST(Poller, RemovedFdsStopReporting) {
-  for (const auto backend : available_backends()) {
-    SCOPED_TRACE(net::to_string(backend));
-    const auto poller = net::make_poller(backend);
+  for (const auto make : available_backends()) {
+    const auto poller = make();
+    SCOPED_TRACE(poller->name());
     Pipe p;
     p.put();
     poller->add(p.rd, POLLIN);
@@ -204,9 +184,9 @@ TEST(Poller, RemovedFdsStopReporting) {
 TEST(Poller, RemoveToleratesAnAlreadyClosedFd) {
   // Teardown order must not matter: a channel may close its socket before
   // the loop unregisters it, by which point the kernel forgot the fd.
-  for (const auto backend : available_backends()) {
-    SCOPED_TRACE(net::to_string(backend));
-    const auto poller = net::make_poller(backend);
+  for (const auto make : available_backends()) {
+    const auto poller = make();
+    SCOPED_TRACE(poller->name());
     Pipe p;
     const int fd = p.rd;
     poller->add(fd, POLLIN);
@@ -220,9 +200,9 @@ TEST(Poller, PeerCloseSurfacesAsHangupOnTheReadSide) {
   // The write end closing must wake the read side with POLLHUP (possibly
   // with POLLIN alongside) under both backends — epoll's EPOLLHUP has to be
   // translated back into poll() vocabulary.
-  for (const auto backend : available_backends()) {
-    SCOPED_TRACE(net::to_string(backend));
-    const auto poller = net::make_poller(backend);
+  for (const auto make : available_backends()) {
+    const auto poller = make();
+    SCOPED_TRACE(poller->name());
     Pipe p;
     poller->add(p.rd, POLLIN);
     p.close_wr();
@@ -235,9 +215,9 @@ TEST(Poller, PeerCloseSurfacesAsHangupOnTheReadSide) {
 TEST(Poller, ReaderCloseSurfacesAsErrorOnTheWriteSide) {
   // A pipe whose read end vanished reports POLLERR to the writer; writing
   // there would raise SIGPIPE/EPIPE, so the loop must hear about it first.
-  for (const auto backend : available_backends()) {
-    SCOPED_TRACE(net::to_string(backend));
-    const auto poller = net::make_poller(backend);
+  for (const auto make : available_backends()) {
+    const auto poller = make();
+    SCOPED_TRACE(poller->name());
     Pipe p;
     poller->add(p.wr, POLLOUT);
     p.close_rd();
@@ -251,9 +231,9 @@ TEST(Poller, BothBackendsAgreeOnAMixedScenario) {
   // One script, two backends, compared step by step: a readable fd, a
   // writable fd, and an armed-but-idle fd must produce identical ready sets
   // (order-independent — compare via per-fd lookup).
-  if (!net::epoll_supported()) GTEST_SKIP() << "epoll backend not built";
-  const auto reference = net::make_poller(net::PollerBackend::Poll);
-  const auto subject = net::make_poller(net::PollerBackend::Epoll);
+  const auto reference = net::make_poll_poller();
+  const auto subject = net::make_poller();
+  if (std::string(subject->name()) == "poll") GTEST_SKIP() << "epoll backend not built";
 
   Pipe readable_ref, readable_sub;
   Pipe writable_ref, writable_sub;
@@ -280,17 +260,15 @@ TEST(Poller, BothBackendsAgreeOnAMixedScenario) {
 // ---- the loop on top of the seam ----------------------------------------------------
 
 TEST(PollerLoop, EventLoopRunsOnEveryAvailableBackend) {
-  for (const auto backend : available_backends()) {
-    SCOPED_TRACE(net::to_string(backend));
-    net::EventLoop loop(backend);
-    loop.start();
-    std::atomic<bool> ran{false};
-    loop.post([&] { ran.store(true); });
-    for (int i = 0; i < 400 && !ran.load(); ++i) std::this_thread::sleep_for(5ms);
-    EXPECT_TRUE(ran.load());
-    EXPECT_STREQ(loop.poller_name(), net::to_string(backend));
-    loop.stop();
-  }
+  // The loop runs on the one backend the build chose.
+  net::EventLoop loop;
+  loop.start();
+  std::atomic<bool> ran{false};
+  loop.post([&] { ran.store(true); });
+  for (int i = 0; i < 400 && !ran.load(); ++i) std::this_thread::sleep_for(5ms);
+  EXPECT_TRUE(ran.load());
+  EXPECT_STREQ(loop.poller_name(), net::make_poller()->name());
+  loop.stop();
 }
 
 TEST(PollerLoop, TimersFireInDeadlineOrderNotInsertionOrder) {

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <ostream>
 #include <set>
 
 #include "core/concurrent_solver.hpp"
@@ -231,6 +232,14 @@ struct SolverParam {
   bool pool_per_family;
   mw::DataPath path;
 };
+
+/// Names each case from its fields (e.g. root2_level3_tol0.001_family_shared)
+/// instead of the struct's raw bytes, whose padding changes run to run.
+void PrintTo(const SolverParam& p, std::ostream* os) {
+  *os << "root" << p.root << "_level" << p.level << "_tol" << p.tol
+      << (p.pool_per_family ? "_family" : "_single")
+      << (p.path == mw::DataPath::SharedGlobal ? "_shared" : "_master");
+}
 
 class ConcurrentMatchesSequential : public ::testing::TestWithParam<SolverParam> {};
 

@@ -211,7 +211,6 @@ TEST(SvcScheduler, StrictPriorityThenWeightedFairness) {
     auto task = sched.next_task();
     ASSERT_TRUE(task.has_value());
     picks.push_back(task->job);
-    sched.task_finished(task->job);
   }
   // First pick breaks the vtime tie by id; then job 2 runs 3x per job-1 pick.
   EXPECT_EQ(picks[0], 1u);
@@ -692,7 +691,7 @@ TEST(SvcStats, JsonAndPrometheusRenderings) {
   const std::string prom = svc::service_stats_prometheus(s);
   EXPECT_NE(prom.find("svc_busy_lanes 2"), std::string::npos);
   EXPECT_NE(prom.find("svc_fleet_joins 6"), std::string::npos);
-  EXPECT_NE(prom.find("svc_fleet_steals 4"), std::string::npos);
+  EXPECT_NE(prom.find("svc_fleet_releases 3"), std::string::npos);
   EXPECT_NE(prom.find("svc_tasks_executed 116"), std::string::npos);
   EXPECT_NE(prom.find("svc_tenant_terms_done{job=\"3\",tag=\"tenant-a\",state=\"running\"} 5"),
             std::string::npos);
